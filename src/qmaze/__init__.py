@@ -8,7 +8,7 @@ BFS and exhaustive scans double-check every stage.
 """
 
 from .directions import DIRECTIONS, Direction, parse_direction
-from .fitness import (FitnessTable, TableParams, WalkResult,
+from .fitness import (FitnessTable, TableFormatError, TableParams, WalkResult,
                       build_fitness_table, fitness_bits, fitness_ceiling,
                       fitness_of, load_table, save_table, walk)
 from .maze import (Maze, MazeFormatError, RoomCoord, deserialize,
@@ -22,7 +22,8 @@ from .search import (DEFAULT_GROVER_CAP, KNOWN_COUNT, UNKNOWN_COUNT,
                      search_table)
 from .statevector import (OracleSpec, StateVector, apply_diffusion,
                           apply_oracle, grover_iterate, marked_count,
-                          marked_probability, measure, uniform_superposition)
+                          marked_probability, measure, measure_amplified,
+                          uniform_superposition)
 from .verify import (BenchReport, BfsResult, TrialRecord,
                      bfs_consistency_check, bfs_shortest_path,
                      exhaustive_max, run_benchmark)
@@ -36,11 +37,12 @@ __all__ = [
     "deserialize", "render_ascii", "replay_rooms",
     "DEFAULT_N_CAP", "path_length", "path_to_index", "index_to_path",
     "parse_path", "format_path",
-    "WalkResult", "FitnessTable", "TableParams", "walk", "fitness_of",
+    "WalkResult", "FitnessTable", "TableParams", "TableFormatError", "walk", "fitness_of",
     "fitness_ceiling", "fitness_bits", "build_fitness_table", "save_table",
     "load_table",
     "StateVector", "OracleSpec", "uniform_superposition", "apply_oracle",
-    "apply_diffusion", "grover_iterate", "measure", "marked_count",
+    "apply_diffusion", "grover_iterate", "measure", "measure_amplified",
+    "marked_count",
     "marked_probability",
     "KNOWN_COUNT", "UNKNOWN_COUNT", "DEFAULT_GROVER_CAP", "SearchConfig",
     "IterationRecord", "SearchResult", "initial_cutoff", "choose_iterations",

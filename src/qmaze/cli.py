@@ -9,7 +9,8 @@ import json
 import os
 import sys
 
-from .fitness import build_fitness_table, fitness_ceiling, load_table, save_table, walk
+from .fitness import (TableFormatError, build_fitness_table, fitness_ceiling,
+                      load_table, maze_digest, save_table, walk)
 from .maze import (Maze, MazeFormatError, deserialize, generate_maze,
                    render_ascii, replay_rooms, serialize, validate_perfect)
 from .paths import DEFAULT_N_CAP, format_path, index_to_path, path_length
@@ -69,10 +70,10 @@ def _search_config(args) -> SearchConfig:
 
 def _solve_table(args, maze, start, end, n):
     if args.fitness_table and os.path.exists(args.fitness_table):
-        table = load_table(args.fitness_table)
+        table = load_table(args.fitness_table, cap=args.cap)
         p = table.params
-        if (table.n, p.maze_size, tuple(p.start), tuple(p.end)) != \
-                (n, maze.size, tuple(start), tuple(end)):
+        if (table.n, p.maze_size, p.maze_digest, tuple(p.start), tuple(p.end)) != \
+                (n, maze.size, maze_digest(maze), tuple(start), tuple(end)):
             raise ValueError(
                 f"cached table {args.fitness_table} was built for different"
                 " parameters; delete it or change the flags")
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except MazeFormatError as exc:
         print(f"error: bad maze file: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except TableFormatError as exc:
+        print(f"error: bad fitness table file: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

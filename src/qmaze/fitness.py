@@ -10,10 +10,12 @@ lives in [0, D_max] and hits D_max exactly when the walk reached the end.
 `build_fitness_table` evaluates every one of the 4**n paths at once with
 vectorized, chunked array arithmetic; the resulting table is the classical
 image of the path-index -> fitness labeling and is what the phase oracle
-and the search consume.
+and the search consume. Its values use the smallest unsigned dtype that
+holds D_max (uint8 up to m = 12).
 """
 
 import dataclasses
+import hashlib
 import struct
 from typing import NamedTuple
 
@@ -24,7 +26,14 @@ from .maze import Maze, RoomCoord, is_open
 from .paths import DEFAULT_N_CAP
 
 _CHUNK = 1 << 20
-_DUMP_HEADER = struct.Struct("<7I")
+_DUMP_MAGIC = b"QMFT"
+_DUMP_VERSION = 1
+# magic, version, n, m, start row/col, end row/col, d_max, maze digest
+_DUMP_HEADER = struct.Struct("<4s8I32s")
+
+
+class TableFormatError(ValueError):
+    """A fitness-table file that is not a well-formed save_table dump."""
 
 
 class WalkResult(NamedTuple):
@@ -75,11 +84,18 @@ def fitness_of(result: WalkResult, end, m: int) -> int:
     return fitness_ceiling(m) - (dr * dr + dc * dc)
 
 
+def maze_digest(maze: Maze) -> bytes:
+    """SHA-256 of the maze's door masks, row by row: which maze a table
+    was built from."""
+    return hashlib.sha256(bytes(mask for row in maze.rooms for mask in row)).digest()
+
+
 class TableParams(NamedTuple):
     maze_size: int
     maze_seed: int | None
     start: RoomCoord
     end: RoomCoord
+    maze_digest: bytes | None = None
 
 
 @dataclasses.dataclass
@@ -87,7 +103,8 @@ class FitnessTable:
     """Fitness of every path index in [0, 4**n), plus its provenance.
 
     d_max is the grid's fitness ceiling; max_fitness is the best value that
-    actually occurs in this table.
+    actually occurs in this table. Built and loaded tables store values as
+    np.min_scalar_type(d_max); from_values keeps int32.
     """
 
     n: int
@@ -140,7 +157,7 @@ def _fitness_chunk(open_table, start, end, n, lo, hi, bound):
         alive = ok & ~((rows == end.row) & (cols == end.col))
     dr = end.row - rows
     dc = end.col - cols
-    return (bound - (dr * dr + dc * dc)).astype(np.int32)
+    return bound - (dr * dr + dc * dc)
 
 
 def build_fitness_table(maze: Maze, start, end, n: int,
@@ -163,41 +180,63 @@ def build_fitness_table(maze: Maze, start, end, n: int,
     open_table = _open_lookup(maze)
     bound = fitness_ceiling(m)
     size = 4**n
-    values = np.empty(size, dtype=np.int32)
+    values = np.empty(size, dtype=np.min_scalar_type(bound))
     for lo in range(0, size, _CHUNK):
         hi = min(lo + _CHUNK, size)
         values[lo:hi] = _fitness_chunk(open_table, start, end, n, lo, hi, bound)
     return FitnessTable(n=n, values=values, max_fitness=int(values.max()),
                         d_max=bound,
-                        params=TableParams(m, maze.seed, start, end))
+                        params=TableParams(m, maze.seed, start, end,
+                                           maze_digest(maze)))
 
 
 def save_table(table: FitnessTable, path) -> None:
-    """Binary dump: '<7I' header (n, m, start row/col, end row/col, d_max)
-    followed by the values as little-endian int32."""
-    if table.params is None:
-        raise ValueError("cannot save a table without maze parameters")
+    """Binary dump: a '<4s8I32s' header (magic, format version, n, m, start
+    row/col, end row/col, d_max, maze digest) followed by the values as
+    little-endian int32."""
     p = table.params
-    header = _DUMP_HEADER.pack(table.n, p.maze_size, p.start.row, p.start.col,
-                               p.end.row, p.end.col, table.d_max)
+    if p is None or p.maze_digest is None:
+        raise ValueError("cannot save a table without maze parameters")
+    header = _DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION, table.n, p.maze_size,
+                               p.start.row, p.start.col, p.end.row, p.end.col,
+                               table.d_max, p.maze_digest)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(table.values, dtype="<i4").tobytes())
 
 
-def load_table(path) -> FitnessTable:
-    """Read a save_table dump. The maze seed is not part of the format, so the
-    loaded params carry maze_seed=None."""
+def load_table(path, cap: int = DEFAULT_N_CAP) -> FitnessTable:
+    """Read a save_table dump, checking the header before sizing anything
+    from it. Raises TableFormatError on a malformed file. The maze seed is
+    not part of the format, so the loaded params carry maze_seed=None."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _DUMP_HEADER.size:
-        raise ValueError("fitness table file too short")
-    n, m, sr, sc, er, ec, d_max = _DUMP_HEADER.unpack_from(raw)
-    body = raw[_DUMP_HEADER.size:]
-    if len(body) != 4 * 4**n:
-        raise ValueError(f"expected {4 * 4 ** n} value bytes, got {len(body)}")
-    values = np.frombuffer(body, dtype="<i4").astype(np.int32)
+        head = fh.read(_DUMP_HEADER.size)
+        if len(head) < _DUMP_HEADER.size:
+            raise TableFormatError("fitness table file too short for its header")
+        magic, version, n, m, sr, sc, er, ec, d_max, digest = _DUMP_HEADER.unpack(head)
+        if magic != _DUMP_MAGIC:
+            raise TableFormatError("not a qmaze fitness table (bad magic)")
+        if version != _DUMP_VERSION:
+            raise TableFormatError(f"fitness table format version {version},"
+                                   f" expected {_DUMP_VERSION}")
+        if n > cap:
+            raise TableFormatError(f"path length {n} exceeds the cap {cap}")
+        for name, row, col in (("start", sr, sc), ("end", er, ec)):
+            if not (row < m and col < m):
+                raise TableFormatError(f"{name} room {(row, col)} outside {m}x{m} grid")
+        if d_max != fitness_ceiling(m):
+            raise TableFormatError(f"d_max {d_max} is not the ceiling"
+                                   f" {fitness_ceiling(m)} of a {m}x{m} grid")
+        expected = 4 * 4**n
+        body = fh.read(expected + 1)
+    if len(body) != expected:
+        got = "more" if len(body) > expected else len(body)
+        raise TableFormatError(f"expected {expected} value bytes, got {got}")
+    raw = np.frombuffer(body, dtype="<i4")
+    if raw.min() < 0 or raw.max() > d_max:
+        raise TableFormatError(f"values outside [0, {d_max}]")
+    values = raw.astype(np.min_scalar_type(d_max))
     return FitnessTable(n=n, values=values, max_fitness=int(values.max()),
                         d_max=d_max,
                         params=TableParams(m, None, RoomCoord(sr, sc),
-                                           RoomCoord(er, ec)))
+                                           RoomCoord(er, ec), digest))

@@ -2,17 +2,23 @@
 
 Each round marks every path whose fitness strictly exceeds the current
 cutoff, amplifies the marked set with Grover iterations on a fresh uniform
-state, and measures once. A measurement that beats the cutoff is accepted
-and becomes the new cutoff, so accepted cutoffs increase strictly. The run
-stops when the round budget is used up, or early once no state is marked:
-an empty marked set certifies the cutoff is the global maximum. The
-certificate uses the simulator's access to the full table, so it can be
-switched off to model a setting where only oracle queries are available.
+state, and measures once. The measurement is drawn from the exact
+two-amplitude closed form (`measure_amplified`), so a round costs one pass
+over the table whatever its iteration count. A measurement that beats the
+cutoff is accepted and becomes the new cutoff, so accepted cutoffs
+increase strictly. The run stops when the round budget is used up, or
+early once no state is marked: an empty marked set certifies the cutoff is
+the global maximum. The certificate uses the simulator's access to the
+full table, so it can be switched off to model a setting where only
+oracle queries are available.
 
 Two policies pick the per-round iteration count:
 
 * ``known_count`` reads the exact marked count l from the table (again a
-  simulator privilege) and uses floor(pi/4 * sqrt(N/l)).
+  simulator privilege) and uses floor(pi / (4t)) with sin(t)**2 = l/N, the
+  fewest calls that bring (2r+1)t nearest to pi/2. It is 0 once l/N >= 1/2:
+  the unamplified state already succeeds with probability l/N, and one call
+  could drop that to sin^2(3t), which is 0 at l/N = 3/4.
 * ``unknown_count`` needs no count: the iteration count is drawn uniformly
   from a window that grows by a factor of 6/5 after every failed round
   (the classic schedule for amplifying an unknown number of solutions),
@@ -27,7 +33,7 @@ import numpy as np
 from .fitness import FitnessTable, build_fitness_table
 from .maze import Maze
 from .paths import DEFAULT_N_CAP
-from .statevector import OracleSpec, grover_iterate, measure, uniform_superposition
+from .statevector import measure_amplified
 
 KNOWN_COUNT = "known_count"
 UNKNOWN_COUNT = "unknown_count"
@@ -76,6 +82,7 @@ class IterationRecord:
     measured_index: int
     measured_fitness: int
     accepted: bool
+    p_success: float  # marked-set probability the round sampled; reported only
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -128,7 +135,7 @@ def choose_iterations(num_states: int, marked: int | None, mode: str,
                       schedule_bound: float = 1.0) -> int:
     """Per-round Grover iteration count.
 
-    known_count uses floor(pi/4 * sqrt(N/l)) clamped to [1, cap];
+    known_count uses floor(pi / (4 * asin(sqrt(l/N)))) clamped to [0, cap];
     unknown_count draws uniformly from [0, min(schedule_bound, cap)).
     """
     if cap < 1:
@@ -136,8 +143,8 @@ def choose_iterations(num_states: int, marked: int | None, mode: str,
     if mode == KNOWN_COUNT:
         if marked is None or not 1 <= marked <= num_states:
             raise ValueError("known_count mode needs 1 <= marked <= num_states")
-        r = math.floor(math.pi / 4 * math.sqrt(num_states / marked))
-        return min(max(r, 1), cap)
+        theta = math.asin(math.sqrt(marked / num_states))
+        return min(math.floor(math.pi / (4 * theta)), cap)
     if mode == UNKNOWN_COUNT:
         if rng is None:
             raise ValueError("unknown_count mode needs an rng")
@@ -158,7 +165,6 @@ def search_table(table: FitnessTable, config: SearchConfig | None = None) -> Sea
     init_idx, init_fit = _sample_cutoff(table, rng)
     cutoff = init_fit
     best_idx, best_fit = init_idx, init_fit
-    base = uniform_superposition(table.n)
     history: list[IterationRecord] = []
     calls = 0
     optimal = False
@@ -166,11 +172,11 @@ def search_table(table: FitnessTable, config: SearchConfig | None = None) -> Sea
     sqrt_n = math.sqrt(num_states)
 
     for rnd in range(rounds):
-        l = int(np.count_nonzero(values > cutoff))
+        marked = values > cutoff
+        l = int(np.count_nonzero(marked))
         if l == 0 and config.certificate_exit:
             optimal = True
             break
-        oracle = OracleSpec(table, cutoff)
         if config.mode == KNOWN_COUNT:
             # l == 0 can only happen with the certificate disabled; nothing
             # to amplify, so just measure the uniform state.
@@ -179,12 +185,11 @@ def search_table(table: FitnessTable, config: SearchConfig | None = None) -> Sea
         else:
             r = choose_iterations(num_states, None, UNKNOWN_COUNT, rng,
                                   config.grover_cap, schedule_bound=bound)
-        state = grover_iterate(base, oracle, r)
-        idx = measure(state, rng)
+        idx, p = measure_amplified(marked, r, rng)
         fit = int(values[idx])
         calls += r
         accepted = fit > cutoff
-        history.append(IterationRecord(rnd, cutoff, l, r, idx, fit, accepted))
+        history.append(IterationRecord(rnd, cutoff, l, r, idx, fit, accepted, p))
         if accepted:
             cutoff = fit
             best_idx, best_fit = idx, fit

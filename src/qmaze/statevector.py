@@ -6,9 +6,19 @@ register, in O(4**n) instead of O(n * 4**n)), a threshold phase oracle
 that negates the amplitude of every path whose fitness strictly exceeds
 a cutoff, and the standard diffusion reflection about the uniform state.
 All three are data-parallel maps/reductions over the amplitude array.
+
+The search itself never builds a dense state. From the uniform state,
+oracle and diffusion only rotate the plane spanned by the marked and the
+unmarked uniform states, so after r calls every marked amplitude is
+sin((2r+1)t)/sqrt(l) and every unmarked one cos((2r+1)t)/sqrt(N-l), with
+sin(t)**2 = l/N (Boyer, Brassard, Hoyer, Tapp, quant-ph/9605034).
+`measure_amplified` samples that distribution exactly in one pass over
+the marked mask, whatever r is. The dense primitives stay as the
+reference it is tested against.
 """
 
 import dataclasses
+import math
 from functools import cached_property
 
 import numpy as np
@@ -104,6 +114,36 @@ def measure(state: StateVector, rng: np.random.Generator) -> int:
     u = rng.random() * cdf[-1]
     idx = int(np.searchsorted(cdf, u, side="right"))
     return min(idx, p.shape[0] - 1)
+
+
+def measure_amplified(marked: np.ndarray, r: int,
+                      rng: np.random.Generator) -> tuple[int, float]:
+    """Measure the state r Grover calls leave the uniform state in.
+
+    `marked` is the oracle's boolean mask. Returns the measured index and
+    p = sin^2((2r+1)t), the marked-set probability that was sampled from.
+    The outcome is marked with probability p, and uniform within its level
+    set, as the two-amplitude closed form gives; no state is allocated.
+    """
+    if r < 0:
+        raise ValueError("iteration count must be non-negative")
+    num_states = marked.shape[0]
+    l = int(np.count_nonzero(marked))
+    if l in (0, num_states):
+        p = float(l != 0)  # exact: the oracle is the identity or a global phase
+    else:
+        p = math.sin((2 * r + 1) * math.asin(math.sqrt(l / num_states))) ** 2
+    hit = rng.random() < p
+    size = l if hit else num_states - l
+    if 2 * size >= num_states:
+        # Rejection: a uniform index lands in the level set w.p. >= 1/2, and
+        # the first one that does is uniform over it.
+        while True:
+            idx = int(rng.integers(num_states))
+            if marked[idx] == hit:
+                return idx, p
+    level = np.flatnonzero(marked if hit else ~marked)
+    return int(level[rng.integers(size)]), p
 
 
 def marked_count(table: FitnessTable, cutoff: int) -> int:

@@ -140,6 +140,41 @@ def test_solve_table_cache(tmp_path, capsys):
     assert "different" in err
 
 
+def test_solve_table_cache_from_another_maze_refused(tmp_path, capsys):
+    # same size, length and endpoints; only the maze seed differs
+    cache = tmp_path / "t.bin"
+    args = ("solve", "--size", "4", "--length", "6", "--fitness-table", str(cache))
+    assert run(capsys, *args, "--seed", "1")[0] == 0
+    code, out, err = run(capsys, *args, "--seed", "2")
+    assert code == 1
+    assert "different" in err
+    assert "optimal certificate" not in out
+
+
+def test_solve_corrupt_table_cache_is_io_error(tmp_path, capsys):
+    import struct
+    cache = tmp_path / "t.bin"
+    args = ("solve", "--size", "3", "--seed", "11", "--fitness-table", str(cache))
+    assert run(capsys, *args)[0] == 0
+    data = bytearray(cache.read_bytes())
+    struct.pack_into("<I", data, 8, 15)  # n = cap + 1
+    cache.write_bytes(bytes(data))
+    code, _, err = run(capsys, *args)
+    assert code == 2
+    assert "cap" in err
+    cache.write_bytes(b"not a table")
+    assert run(capsys, *args)[0] == 2
+
+
+def test_solve_json_reports_round_probabilities(capsys):
+    code, out, _ = run(capsys, "solve", "--size", "3", "--seed", "11",
+                       "--rng-seed", "3", "--format", "json")
+    assert code == 0
+    rounds = json.loads(out)["result"]["rounds"]
+    assert rounds
+    assert all(0.0 <= rec["p_success"] <= 1.0 for rec in rounds)
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "--size", "3", "--seed", "11")
     assert code == 0

@@ -1,10 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
-from qmaze import (Direction, FitnessTable, RoomCoord, WalkResult,
-                   build_fitness_table, fitness_bits, fitness_ceiling,
-                   fitness_of, generate_maze, generate_maze_with_log,
-                   index_to_path, load_table, save_table, walk)
+from qmaze import (DEFAULT_N_CAP, Direction, FitnessTable, RoomCoord,
+                   TableFormatError, WalkResult, build_fitness_table,
+                   fitness_bits, fitness_ceiling, fitness_of, generate_maze,
+                   generate_maze_with_log, index_to_path, load_table,
+                   save_table, walk)
 
 from oracles import open_pairs_from_events, replay_walk, score
 
@@ -182,4 +185,94 @@ def test_load_rejects_truncated(tmp_path, table2_n4):
     data = path.read_bytes()
     path.write_bytes(data[:-5])
     with pytest.raises(ValueError):
+        load_table(path)
+
+
+def test_table_dtype_is_smallest_unsigned(maze2, maze3):
+    assert build_fitness_table(maze3, (0, 0), (2, 2), 3).values.dtype == np.uint8
+    assert build_fitness_table(generate_maze(12, 1), (0, 0), (11, 11), 2
+                               ).values.dtype == np.uint8  # d_max 242
+    big = build_fitness_table(generate_maze(16, 1), (0, 0), (15, 15), 3)
+    assert big.values.dtype == np.uint16  # d_max 450
+    assert FitnessTable.from_values([1, 2, 3, 4]).values.dtype == np.int32
+
+
+def test_load_keeps_dtype_and_maze_digest(tmp_path, table3_n6):
+    path = tmp_path / "table.bin"
+    save_table(table3_n6, path)
+    loaded = load_table(path)
+    assert loaded.values.dtype == table3_n6.values.dtype
+    assert loaded.params.maze_digest == table3_n6.params.maze_digest
+    assert len(path.read_bytes()) == 68 + 4 * 4**6
+
+
+def test_maze_digest_tells_mazes_apart():
+    a = build_fitness_table(generate_maze(4, 1), (0, 0), (3, 3), 2)
+    b = build_fitness_table(generate_maze(4, 2), (0, 0), (3, 3), 2)
+    again = build_fitness_table(generate_maze(4, 1), (0, 0), (3, 3), 2)
+    assert a.params.maze_digest != b.params.maze_digest
+    assert a.params.maze_digest == again.params.maze_digest
+
+
+# Header fields of a save_table dump: '<4s8I32s' = magic, version, n, m,
+# start row, start col, end row, end col, d_max, maze digest.
+_FIELD_OFFSET = {"version": 4, "n": 8, "m": 12, "start_row": 16,
+                 "end_col": 28, "d_max": 32}
+
+
+def _patched(tmp_path, table, **fields):
+    path = tmp_path / "table.bin"
+    save_table(table, path)
+    data = bytearray(path.read_bytes())
+    for name, value in fields.items():
+        struct.pack_into("<I", data, _FIELD_OFFSET[name], value)
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("fields", [
+    {"version": 2},
+    {"n": DEFAULT_N_CAP + 1},     # refused before 4**n is ever formed
+    {"n": 2**32 - 1},
+    {"start_row": 2},             # outside the 2x2 grid
+    {"end_col": 7},
+    {"m": 3},                     # d_max 2 is not the 3x3 ceiling 8
+    {"d_max": 3},
+    {"n": 3},                     # body holds 4**4 values, not 4**3
+])
+def test_load_rejects_bad_header(tmp_path, table2_n4, fields):
+    path = _patched(tmp_path, table2_n4, **fields)
+    with pytest.raises(TableFormatError):
+        load_table(path)
+
+
+def test_load_rejects_n_above_a_lowered_cap(tmp_path, table2_n4):
+    path = _patched(tmp_path, table2_n4)
+    with pytest.raises(TableFormatError):
+        load_table(path, cap=3)
+    assert load_table(path, cap=4).n == 4
+
+
+def test_load_rejects_bad_magic_and_short_files(tmp_path, table2_n4):
+    path = _patched(tmp_path, table2_n4)
+    data = path.read_bytes()
+    path.write_bytes(b"XXXX" + data[4:])
+    with pytest.raises(TableFormatError):
+        load_table(path)
+    path.write_bytes(data[:20])
+    with pytest.raises(TableFormatError):
+        load_table(path)
+    path.write_bytes(data + b"\0\0\0\0")
+    with pytest.raises(TableFormatError):
+        load_table(path)
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 256 + 1])
+def test_load_rejects_values_out_of_range(tmp_path, table2_n4, bad):
+    # 257 would wrap to 1 in uint8; every value must lie in [0, d_max = 2]
+    path = _patched(tmp_path, table2_n4)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<i", data, 68 + 4 * 5, bad)
+    path.write_bytes(bytes(data))
+    with pytest.raises(TableFormatError):
         load_table(path)

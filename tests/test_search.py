@@ -22,8 +22,32 @@ def test_known_count_n8_single_marked():
     assert choose_iterations(65536, 1, KNOWN_COUNT) == 201
 
 
-def test_known_count_everything_marked_clamps_to_one():
-    assert choose_iterations(64, 64, KNOWN_COUNT) == 1
+def test_known_count_everything_marked_needs_no_iteration():
+    # r = 0 and r = 1 both measure a marked state with probability 1
+    assert choose_iterations(64, 64, KNOWN_COUNT) == 0
+
+
+def test_known_count_three_quarters_marked_needs_no_iteration():
+    # sin^2(3t) = 0 at l/N = 3/4, while r = 0 keeps probability 3/4
+    assert choose_iterations(64, 48, KNOWN_COUNT) == 0
+
+
+def test_known_count_three_quarters_marked_search_reaches_maximum():
+    # a cutoff of 0 leaves l/N = 3/4 marked on every round that does not
+    # measure the single top path; with r = 1 such a search never moves
+    values = np.zeros(64, dtype=np.int32)
+    values[16:] = 1
+    values[63] = 2
+    table = FitnessTable.from_values(values)
+    started_low = 0
+    for seed in range(20):
+        res = search_table(table, SearchConfig(rng_seed=seed, max_rounds=16))
+        if res.initial_cutoff == 0:
+            started_low += 1
+            assert res.history[0].marked == 48
+            assert res.history[0].grover_r == 0
+        assert res.best_fitness == 2
+    assert started_low > 0
 
 
 def test_known_count_cap_clamps():
@@ -192,3 +216,15 @@ def test_result_dict_roundtrips(table2_n4):
     doc = json.loads(json.dumps(res.as_dict()))
     assert doc["best_fitness"] == res.best_fitness
     assert len(doc["rounds"]) == res.rounds_used
+
+
+@pytest.mark.parametrize("mode", [KNOWN_COUNT, UNKNOWN_COUNT])
+def test_rounds_report_their_success_probability(table3_n6, mode):
+    num = 4**6
+    for seed in range(5):
+        cfg = SearchConfig(rng_seed=seed, mode=mode, max_rounds=12)
+        res = search_table(table3_n6, cfg)
+        for rec in res.history:
+            expected = grover_success_probability(num, rec.marked, rec.grover_r)
+            assert abs(rec.p_success - expected) < 1e-9
+            assert rec.as_dict()["p_success"] == rec.p_success
