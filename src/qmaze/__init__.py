@@ -9,17 +9,16 @@ BFS and exhaustive scans double-check every stage.
 
 from .directions import DIRECTIONS, Direction, parse_direction
 from .fitness import (FitnessTable, TableFormatError, TableParams, WalkResult,
-                      build_fitness_table, fitness_bits, fitness_ceiling,
-                      fitness_of, load_table, save_table, walk)
+                      build_fitness_table, fitness_ceiling, fitness_of,
+                      load_table, save_table, walk)
 from .maze import (Maze, MazeFormatError, RoomCoord, deserialize,
                    generate_maze, generate_maze_with_log, is_open,
-                   render_ascii, replay_rooms, serialize, validate_perfect)
+                   render_ascii, serialize, validate_perfect)
 from .paths import (DEFAULT_N_CAP, format_path, index_to_path, parse_path,
                     path_length, path_to_index)
 from .search import (DEFAULT_GROVER_CAP, KNOWN_COUNT, UNKNOWN_COUNT,
                      IterationRecord, SearchConfig, SearchResult,
-                     choose_iterations, initial_cutoff, search_max,
-                     search_table)
+                     choose_iterations, search_table)
 from .statevector import (OracleSpec, StateVector, apply_diffusion,
                           apply_oracle, grover_iterate, marked_count,
                           marked_probability, measure, measure_amplified,
@@ -34,19 +33,18 @@ __all__ = [
     "DIRECTIONS", "Direction", "parse_direction",
     "Maze", "MazeFormatError", "RoomCoord", "generate_maze",
     "generate_maze_with_log", "is_open", "validate_perfect", "serialize",
-    "deserialize", "render_ascii", "replay_rooms",
+    "deserialize", "render_ascii",
     "DEFAULT_N_CAP", "path_length", "path_to_index", "index_to_path",
     "parse_path", "format_path",
     "WalkResult", "FitnessTable", "TableParams", "TableFormatError", "walk", "fitness_of",
-    "fitness_ceiling", "fitness_bits", "build_fitness_table", "save_table",
+    "fitness_ceiling", "build_fitness_table", "save_table",
     "load_table",
     "StateVector", "OracleSpec", "uniform_superposition", "apply_oracle",
     "apply_diffusion", "grover_iterate", "measure", "measure_amplified",
     "marked_count",
     "marked_probability",
     "KNOWN_COUNT", "UNKNOWN_COUNT", "DEFAULT_GROVER_CAP", "SearchConfig",
-    "IterationRecord", "SearchResult", "initial_cutoff", "choose_iterations",
-    "search_table", "search_max",
+    "IterationRecord", "SearchResult", "choose_iterations", "search_table",
     "BfsResult", "TrialRecord", "BenchReport", "bfs_shortest_path",
     "exhaustive_max", "bfs_consistency_check", "run_benchmark",
     "__version__",

@@ -12,7 +12,7 @@ import sys
 from .fitness import (TableFormatError, build_fitness_table, fitness_ceiling,
                       load_table, maze_digest, save_table, walk)
 from .maze import (Maze, MazeFormatError, deserialize, generate_maze,
-                   render_ascii, replay_rooms, serialize, validate_perfect)
+                   render_ascii, serialize, validate_perfect)
 from .paths import DEFAULT_N_CAP, format_path, index_to_path, path_length
 from .search import KNOWN_COUNT, UNKNOWN_COUNT, SearchConfig, search_table
 from .verify import (bfs_consistency_check, bfs_shortest_path, exhaustive_max,
@@ -209,10 +209,12 @@ def cmd_render(args) -> int:
     if args.bfs:
         start, end = _endpoints(args, maze)
         bfs = bfs_shortest_path(maze, start, end)
-        rooms = replay_rooms(maze, start, bfs.path)
-        marks = {tuple(room): "*" for room in rooms}
-        marks[tuple(rooms[0])] = "S"
-        marks[tuple(rooms[-1])] = "E"
+        row, col = start
+        marks = {(row, col): "S"}
+        for d in bfs.path:
+            row, col = row + d.delta[0], col + d.delta[1]
+            marks[(row, col)] = "*"
+        marks[(row, col)] = "E"
     print(render_ascii(maze, marks))
     return EXIT_OK
 

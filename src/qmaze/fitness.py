@@ -7,11 +7,14 @@ when it reaches `end`. The score is the grid's maximum squared Euclidean
 distance minus the squared distance from the final room to `end`, so it
 lives in [0, D_max] and hits D_max exactly when the walk reached the end.
 
-`build_fitness_table` evaluates every one of the 4**n paths at once with
-vectorized, chunked array arithmetic; the resulting table is the classical
-image of the path-index -> fitness labeling and is what the phase oracle
-and the search consume. Its values use the smallest unsigned dtype that
-holds D_max (uint8 up to m = 12).
+These rules live in one transition table over the 2*m*m walk states
+(room, still walking): a stopped state absorbs every move. Both `walk` and
+`build_fitness_table` step through it. The path index is a MSB-first
+prefix trie, so the builder expands the top half of the levels once, then
+expands the bottom half only from the distinct states reached there. The
+resulting table is the classical image of the path-index -> fitness
+labeling and is what the phase oracle and the search consume. Its values
+use the smallest unsigned dtype that holds D_max (uint8 up to m = 12).
 """
 
 import dataclasses
@@ -22,10 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .directions import Direction
-from .maze import Maze, RoomCoord, is_open
+from .maze import Maze, RoomCoord
 from .paths import DEFAULT_N_CAP
 
-_CHUNK = 1 << 20
 _DUMP_MAGIC = b"QMFT"
 _DUMP_VERSION = 1
 # magic, version, n, m, start row/col, end row/col, d_max, maze digest
@@ -48,9 +50,41 @@ def fitness_ceiling(m: int) -> int:
     return 2 * (m - 1) ** 2
 
 
-def fitness_bits(m: int) -> int:
-    """Register width needed for any fitness value on an m x m grid."""
-    return fitness_ceiling(m).bit_length()
+def _transitions(maze: Maze, start, end):
+    """The walk rules as a finite automaton over 2*m*m states.
+
+    State `cell` (= row*m + col) means the walk has stopped in that room;
+    state `m*m + cell` means it is still walking there. Returns (T, score,
+    s0): T[s, d] is the state after stepping d from s, score[s] the fitness
+    of a walk that ends in s, and s0 the state before the first step.
+    Stopped states absorb; a closed or off-grid door stops the walk where it
+    is; moving into `end` stops it there; start == end starts stopped.
+    """
+    m = maze.size
+    start = RoomCoord(*start)
+    end = RoomCoord(*end)
+    for name, room in (("start", start), ("end", end)):
+        if not (0 <= room.row < m and 0 <= room.col < m):
+            raise ValueError(f"{name} room {tuple(room)} outside {m}x{m} grid")
+    cells = m * m
+    here = np.arange(cells)
+    rows, cols = np.divmod(here, m)
+    masks = np.array(maze.rooms, dtype=np.int64).reshape(cells)
+    delta = np.array([d.delta for d in Direction])
+    next_rows = rows[:, None] + delta[:, 0]
+    next_cols = cols[:, None] + delta[:, 1]
+    door = ((masks[:, None] >> np.arange(4) & 1).astype(bool)
+            & (0 <= next_rows) & (next_rows < m) & (0 <= next_cols) & (next_cols < m))
+    dest = next_rows * m + next_cols
+    end_cell = end.row * m + end.col
+    walking = np.where(door, dest + cells * (dest != end_cell), here[:, None])
+    stopped = np.repeat(here[:, None], 4, axis=1)
+    T = np.concatenate([stopped, walking]).astype(np.min_scalar_type(2 * cells - 1))
+    bound = fitness_ceiling(m)
+    fit = bound - ((rows - end.row) ** 2 + (cols - end.col) ** 2)
+    score = np.tile(fit, 2).astype(np.min_scalar_type(bound))
+    s0 = start.row * m + start.col + (cells if start != end else 0)
+    return T, score, s0
 
 
 def walk(maze: Maze, start, end, steps) -> WalkResult:
@@ -60,20 +94,17 @@ def walk(maze: Maze, start, end, steps) -> WalkResult:
     first blocked move (the rest of the sequence is ignored) or as soon as the
     current room equals `end`.
     """
-    cur = RoomCoord(*start)
-    end = RoomCoord(*end)
-    if cur == end:
-        return WalkResult(cur, 0, True)
+    T, _, state = _transitions(maze, start, end)
+    cells = maze.size ** 2
     taken = 0
     for d in steps:
-        if not is_open(maze, cur, d):
+        if state < cells:
             break
-        dr, dc = Direction(d).delta
-        cur = RoomCoord(cur.row + dr, cur.col + dc)
-        taken += 1
-        if cur == end:
-            return WalkResult(cur, taken, True)
-    return WalkResult(cur, taken, False)
+        nxt = int(T[state, int(d)])
+        taken += nxt % cells != state % cells
+        state = nxt
+    room = RoomCoord(*divmod(state % cells, maze.size))
+    return WalkResult(room, taken, room == RoomCoord(*end))
 
 
 def fitness_of(result: WalkResult, end, m: int) -> int:
@@ -127,43 +158,12 @@ class FitnessTable:
                    d_max=top if d_max is None else d_max, params=params)
 
 
-def _open_lookup(maze: Maze) -> np.ndarray:
-    """(m, m, 4) bool array of open doors; off-grid directions are closed."""
-    m = maze.size
-    table = np.zeros((m, m, 4), dtype=bool)
-    for r in range(m):
-        for c in range(m):
-            for d in range(4):
-                table[r, c, d] = is_open(maze, (r, c), d)
-    return table
-
-
-def _fitness_chunk(open_table, start, end, n, lo, hi, bound):
-    drow = np.array([-1, 0, 1, 0], dtype=np.int32)
-    dcol = np.array([0, 1, 0, -1], dtype=np.int32)
-    idx = np.arange(lo, hi, dtype=np.int64)
-    rows = np.full(idx.shape, start.row, dtype=np.int32)
-    cols = np.full(idx.shape, start.col, dtype=np.int32)
-    # alive = still walking: not halted at a closed door, not arrived
-    alive = np.full(idx.shape, start != end, dtype=bool)
-    for k in range(n):
-        if not alive.any():
-            break
-        d = (idx >> (2 * (n - 1 - k))) & 3
-        ok = alive & open_table[rows, cols, d]
-        moved = d[ok]
-        rows[ok] += drow[moved]
-        cols[ok] += dcol[moved]
-        alive = ok & ~((rows == end.row) & (cols == end.col))
-    dr = end.row - rows
-    dc = end.col - cols
-    return bound - (dr * dr + dc * dc)
-
-
 def build_fitness_table(maze: Maze, start, end, n: int,
                         cap: int = DEFAULT_N_CAP) -> FitnessTable:
-    """Score all 4**n paths. Work is a data-parallel sweep over the index
-    range, processed in fixed-size chunks to bound peak memory."""
+    """Score all 4**n paths over the MSB-first prefix trie: expand the walk
+    states of the top n - n//2 levels once, expand the bottom n//2 levels
+    only from each distinct state reached there, and gather each prefix's
+    row of scores."""
     if n < 0:
         raise ValueError("path length must be non-negative")
     if n > cap:
@@ -171,23 +171,20 @@ def build_fitness_table(maze: Maze, start, end, n: int,
             f"path length {n} exceeds the cap {cap} (4**{n} table entries);"
             " raise the cap explicitly if you really want this"
         )
+    T, score, s0 = _transitions(maze, start, end)
+    states = np.array([s0], dtype=T.dtype)
+    for _ in range(n - n // 2):
+        states = T[states].reshape(-1)
+    tops, prefix_top = np.unique(states, return_inverse=True)
+    tails = tops[:, None]
+    for _ in range(n // 2):
+        tails = T[tails].reshape(len(tops), -1)
+    rows = score[tails]
     m = maze.size
-    start = RoomCoord(*start)
-    end = RoomCoord(*end)
-    for name, room in (("start", start), ("end", end)):
-        if not (0 <= room.row < m and 0 <= room.col < m):
-            raise ValueError(f"{name} room {tuple(room)} outside {m}x{m} grid")
-    open_table = _open_lookup(maze)
-    bound = fitness_ceiling(m)
-    size = 4**n
-    values = np.empty(size, dtype=np.min_scalar_type(bound))
-    for lo in range(0, size, _CHUNK):
-        hi = min(lo + _CHUNK, size)
-        values[lo:hi] = _fitness_chunk(open_table, start, end, n, lo, hi, bound)
-    return FitnessTable(n=n, values=values, max_fitness=int(values.max()),
-                        d_max=bound,
-                        params=TableParams(m, maze.seed, start, end,
-                                           maze_digest(maze)))
+    return FitnessTable(n=n, values=rows[prefix_top].reshape(-1),
+                        max_fitness=int(rows.max()), d_max=fitness_ceiling(m),
+                        params=TableParams(m, maze.seed, RoomCoord(*start),
+                                           RoomCoord(*end), maze_digest(maze)))
 
 
 def save_table(table: FitnessTable, path) -> None:

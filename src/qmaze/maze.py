@@ -12,7 +12,7 @@ for a given (size, seed) on every platform and Python version.
 """
 
 import dataclasses
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .directions import Direction
 
@@ -70,7 +70,8 @@ class Maze:
 
 def _carve(m: int, seed: int):
     """Randomized DFS carve. Returns (rooms, events); events is the ordered
-    list of (room, direction) door openings, one per spanning-tree edge."""
+    list of (cell, direction code) door openings, cell = row * m + col, one
+    per spanning-tree edge."""
     if m < 1:
         raise ValueError(f"maze size must be >= 1, got {m}")
     if not 0 <= seed <= _MASK64:
@@ -78,7 +79,7 @@ def _carve(m: int, seed: int):
     rng = _SplitMix64(seed)
     masks = bytearray(m * m)
     visited = bytearray(m * m)
-    events: list[tuple[RoomCoord, Direction]] = []
+    events: list[tuple[int, int]] = []
 
     cell = rng.below(m) * m + rng.below(m)
     visited[cell] = 1
@@ -100,7 +101,7 @@ def _carve(m: int, seed: int):
             masks[cell] |= 1 << d
             masks[nxt] |= 1 << ((d + 2) & 3)
             visited[nxt] = 1
-            events.append((RoomCoord(r, c), Direction(d)))
+            events.append((cell, d))
             stack.append(nxt)
         else:
             stack.pop()
@@ -122,7 +123,8 @@ def generate_maze_with_log(m: int, seed: int):
     rebuild the maze from it and compare.
     """
     rooms, events = _carve(m, seed)
-    return Maze(size=m, seed=seed, rooms=rooms), tuple(events)
+    log = tuple((RoomCoord(*divmod(cell, m)), Direction(d)) for cell, d in events)
+    return Maze(size=m, seed=seed, rooms=rooms), log
 
 
 def is_open(maze: Maze, room, direction) -> bool:
@@ -251,17 +253,3 @@ def render_ascii(maze: Maze, marks: dict | None = None) -> str:
         out.append("".join(mid))
     out.append("+" + "---+" * m)
     return "\n".join(out)
-
-
-def replay_rooms(maze: Maze, start, steps: Iterable[Direction]) -> list[RoomCoord]:
-    """Rooms visited when stepping from `start` through open doors; stops at the
-    first closed or off-grid move."""
-    cur = RoomCoord(*start)
-    rooms = [cur]
-    for d in steps:
-        if not is_open(maze, cur, d):
-            break
-        dr, dc = Direction(d).delta
-        cur = RoomCoord(cur.row + dr, cur.col + dc)
-        rooms.append(cur)
-    return rooms

@@ -30,9 +30,7 @@ import math
 
 import numpy as np
 
-from .fitness import FitnessTable, build_fitness_table
-from .maze import Maze
-from .paths import DEFAULT_N_CAP
+from .fitness import FitnessTable
 from .statevector import measure_amplified
 
 KNOWN_COUNT = "known_count"
@@ -123,12 +121,6 @@ def _sample_cutoff(table: FitnessTable, rng: np.random.Generator) -> tuple[int, 
     return idx, int(table.values[idx])
 
 
-def initial_cutoff(table: FitnessTable, rng: np.random.Generator) -> int:
-    """Fitness of a uniformly sampled path index: one measurement of the
-    unamplified register."""
-    return _sample_cutoff(table, rng)[1]
-
-
 def choose_iterations(num_states: int, marked: int | None, mode: str,
                       rng: np.random.Generator | None = None,
                       cap: int = DEFAULT_GROVER_CAP,
@@ -201,11 +193,3 @@ def search_table(table: FitnessTable, config: SearchConfig | None = None) -> Sea
                         initial_index=init_idx, initial_cutoff=init_fit,
                         history=tuple(history), oracle_calls_total=calls,
                         optimal=optimal)
-
-
-def search_max(maze: Maze, start, end, n: int,
-               config: SearchConfig | None = None,
-               cap: int = DEFAULT_N_CAP) -> SearchResult:
-    """Build the fitness table for (maze, start, end, n) and search it."""
-    table = build_fitness_table(maze, start, end, n, cap=cap)
-    return search_table(table, config)

@@ -229,12 +229,15 @@ def test_render_single_cell(capsys):
 
 
 def test_render_bfs_overlay(capsys):
-    from qmaze import bfs_shortest_path, generate_maze, replay_rooms
+    from qmaze import bfs_shortest_path, generate_maze, is_open
     code, out, _ = run(capsys, "render", "--size", "3", "--seed", "11", "--bfs")
     assert code == 0
     maze = generate_maze(3, 11)
     route = bfs_shortest_path(maze, (0, 0), (2, 2))
-    rooms = replay_rooms(maze, (0, 0), route.path)
+    rooms = [(0, 0)]
+    for d in route.path:
+        assert is_open(maze, rooms[-1], d)
+        rooms.append((rooms[-1][0] + d.delta[0], rooms[-1][1] + d.delta[1]))
     lines = out.splitlines()
     marked = set()
     for r in range(3):

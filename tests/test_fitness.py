@@ -3,13 +3,14 @@ import struct
 import numpy as np
 import pytest
 
-from qmaze import (DEFAULT_N_CAP, Direction, FitnessTable, RoomCoord,
-                   TableFormatError, WalkResult, build_fitness_table,
-                   fitness_bits, fitness_ceiling, fitness_of, generate_maze,
-                   generate_maze_with_log, index_to_path, load_table,
-                   save_table, walk)
+from qmaze import (DEFAULT_N_CAP, Direction, FitnessTable, Maze, RoomCoord,
+                   SearchConfig, TableFormatError, WalkResult,
+                   build_fitness_table, fitness_ceiling, fitness_of,
+                   generate_maze, generate_maze_with_log, index_to_path,
+                   load_table, save_table, search_table, walk)
 
-from oracles import open_pairs_from_events, replay_walk, score
+from oracles import (dijkstra_distance, open_pairs_from_events, replay_walk,
+                     score)
 
 N, E, S, W = Direction.N, Direction.E, Direction.S, Direction.W
 
@@ -18,8 +19,11 @@ def test_ceiling_and_width():
     assert fitness_ceiling(1) == 0
     assert fitness_ceiling(2) == 2
     assert fitness_ceiling(3) == 8
-    assert fitness_bits(3) == 4
-    assert fitness_bits(1) == 0
+    # the fitness register width is the default round budget (at least 1)
+    no_exit = SearchConfig(certificate_exit=False)
+    for m, width in ((3, 4), (1, 1)):
+        table = build_fitness_table(generate_maze(m, 1), (0, 0), (0, 0), 1)
+        assert search_table(table, no_exit).rounds_used == width
 
 
 def test_walk_start_equals_end(maze2):
@@ -39,16 +43,20 @@ def test_walk_blocked_first_step():
         pytest.fail("no closed door at (0,0)")
 
 
-def test_walk_exhaustive_matches_log_oracle(maze2):
-    _, events = generate_maze_with_log(2, 42)
-    pairs = open_pairs_from_events(events)
-    for idx in range(4**4):
-        steps = index_to_path(idx, 4)
-        got = walk(maze2, (0, 0), (1, 1), steps)
-        final, taken, reached = replay_walk(pairs, (0, 0), (1, 1), steps)
-        assert tuple(got.final_room) == final
-        assert got.steps_taken == taken
-        assert got.reached_end == reached
+def test_walk_exhaustive_matches_log_oracle():
+    # 2x2 to the far corner; 5x5 from a corner to every room, start included
+    cases = [(2, 42, (0, 0), (1, 1))]
+    cases += [(5, 9, (0, 0), (r, c)) for r in range(5) for c in range(5)]
+    for m, seed, start, end in cases:
+        maze, events = generate_maze_with_log(m, seed)
+        pairs = open_pairs_from_events(events)
+        for idx in range(4**4):
+            steps = index_to_path(idx, 4)
+            got = walk(maze, start, end, steps)
+            final, taken, reached = replay_walk(pairs, start, end, steps)
+            assert tuple(got.final_room) == final
+            assert got.steps_taken == taken
+            assert got.reached_end == reached
 
 
 def test_walk_stops_on_arrival(maze3):
@@ -88,13 +96,42 @@ def test_fitness_strictly_monotone_in_distance():
     assert all(a > b for a, b in zip(fits, fits[1:]))
 
 
-def test_table_matches_independent_oracle(maze2, table2_n4):
-    _, events = generate_maze_with_log(2, 42)
+def _oracle_grid():
+    # corners are 8 or more steps apart from m = 5 on, out of reach at n <= 6
+    for m in (1, 2, 3, 5, 12):
+        c = m // 2
+        ends = {"corners": ((0, 0), (m - 1, m - 1)),
+                "same": ((c, c), (c, c)),
+                "border": ((m - 1, c), (0, m - 1))}
+        for n in (0, 1, 4, 6):
+            for name, (start, end) in ends.items():
+                yield pytest.param(m, start, end, n, id=f"m{m}-n{n}-{name}")
+
+
+@pytest.mark.parametrize("m,start,end,n", _oracle_grid())
+def test_table_matches_independent_oracle(m, start, end, n):
+    maze, events = generate_maze_with_log(m, 42)
     pairs = open_pairs_from_events(events)
-    for idx in range(4**4):
-        steps = index_to_path(idx, 4)
-        final, _, _ = replay_walk(pairs, (0, 0), (1, 1), steps)
-        assert int(table2_n4.values[idx]) == score(final, (1, 1), 2)
+    table = build_fitness_table(maze, start, end, n)
+    finals = [replay_walk(pairs, start, end, index_to_path(idx, n))[0]
+              for idx in range(4**n)]
+    expected = [score(final, end, m) for final in finals]
+    assert table.values.tolist() == expected
+    assert table.values.dtype == np.min_scalar_type(fitness_ceiling(m))
+    assert table.max_fitness == max(expected)
+    reachable = dijkstra_distance(maze, start, end) <= n
+    assert (table.max_fitness == fitness_ceiling(m)) == reachable
+
+
+def test_off_grid_door_bits_stay_closed():
+    # a hand-built maze may set door bits that point off the grid
+    maze = Maze(size=2, seed=0, rooms=((15, 15), (15, 15)))
+    table = build_fitness_table(maze, (0, 0), (1, 1), 1)
+    assert table.values.tolist() == [0, 1, 1, 0]  # N and W halt at (0, 0)
+    halted = walk(maze, (0, 0), (1, 1), [W, E])
+    assert halted == WalkResult(RoomCoord(0, 0), 0, False)
+    arrived = walk(maze, (0, 0), (1, 1), [E, S, S])
+    assert arrived == WalkResult(RoomCoord(1, 1), 2, True)
 
 
 def test_table_matches_scalar_walk(maze3, table3_n6):

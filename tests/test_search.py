@@ -7,8 +7,8 @@ import scipy.stats
 from qmaze import (KNOWN_COUNT, UNKNOWN_COUNT, FitnessTable, OracleSpec,
                    SearchConfig, build_fitness_table, choose_iterations,
                    exhaustive_max, generate_maze, grover_iterate,
-                   initial_cutoff, marked_count, marked_probability,
-                   search_max, search_table, uniform_superposition)
+                   marked_count, marked_probability, search_table,
+                   uniform_superposition)
 
 from oracles import grover_success_probability
 
@@ -100,24 +100,25 @@ def test_config_validation():
 
 def test_initial_cutoff_all_equal():
     table = FitnessTable.from_values(np.full(16, 6, dtype=np.int32))
-    assert initial_cutoff(table, np.random.default_rng(0)) == 6
+    assert search_table(table, SearchConfig(rng_seed=0)).initial_cutoff == 6
 
 
 def test_initial_cutoff_replay(table2_n4):
-    a = initial_cutoff(table2_n4, np.random.default_rng(77))
-    b = initial_cutoff(table2_n4, np.random.default_rng(77))
-    assert a == b
-    rng = np.random.default_rng(77)
-    idx = int(rng.integers(4**4))
-    assert a == int(table2_n4.values[idx])
+    config = SearchConfig(rng_seed=77, max_rounds=1)
+    a = search_table(table2_n4, config)
+    b = search_table(table2_n4, config)
+    assert a.initial_cutoff == b.initial_cutoff
+    idx = int(np.random.default_rng(77).integers(4**4))
+    assert a.initial_index == idx
+    assert a.initial_cutoff == int(table2_n4.values[idx])
 
 
 def test_initial_cutoff_distribution_matches_table(table2_n4):
-    rng = np.random.default_rng(8)
     draws = 10_000
     observed = {}
-    for _ in range(draws):
-        v = initial_cutoff(table2_n4, rng)
+    for seed in range(draws):
+        config = SearchConfig(rng_seed=seed, max_rounds=1)
+        v = search_table(table2_n4, config).initial_cutoff
         observed[v] = observed.get(v, 0) + 1
     levels, counts = np.unique(np.asarray(table2_n4.values), return_counts=True)
     f_obs = np.array([observed.get(int(v), 0) for v in levels], dtype=float)
@@ -135,7 +136,8 @@ def test_all_equal_table_certifies_immediately():
 
 
 def test_search_degenerate_register(maze2):
-    res = search_max(maze2, (0, 0), (0, 0), 0, SearchConfig(rng_seed=0))
+    table = build_fitness_table(maze2, (0, 0), (0, 0), 0)
+    res = search_table(table, SearchConfig(rng_seed=0))
     assert res.optimal
     assert res.best_fitness == 2  # ceiling of a 2x2 grid
 
@@ -199,15 +201,16 @@ def test_unknown_count_end_to_end(table2_n4):
     assert hits >= 14
 
 
-def test_search_max_builds_and_searches(maze3):
-    res = search_max(maze3, (0, 0), (2, 2), 6, SearchConfig(rng_seed=4, max_rounds=16))
+def test_search_built_table(maze3):
+    table = build_fitness_table(maze3, (0, 0), (2, 2), 6)
+    res = search_table(table, SearchConfig(rng_seed=4, max_rounds=16))
     assert 0 <= res.best_index < 4**6
     assert res.best_fitness <= 8
 
 
-def test_search_max_propagates_cap(maze3):
-    with pytest.raises(ValueError):
-        search_max(maze3, (0, 0), (2, 2), 15, SearchConfig())
+def test_table_to_search_refused_above_cap(maze3):
+    with pytest.raises(ValueError, match="cap"):
+        build_fitness_table(maze3, (0, 0), (2, 2), 15)
 
 
 def test_result_dict_roundtrips(table2_n4):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qmaze import (Direction, FitnessTable, Maze, SearchConfig,
+from qmaze import (Direction, FitnessTable, Maze, RoomCoord, SearchConfig,
                    bfs_consistency_check, bfs_shortest_path,
                    build_fitness_table, exhaustive_max, fitness_ceiling,
-                   generate_maze, replay_rooms, run_benchmark, walk)
+                   generate_maze, is_open, run_benchmark, walk)
 
 from oracles import dijkstra_distance
 
@@ -37,7 +37,11 @@ def test_bfs_matches_dijkstra():
 
 def test_bfs_path_replays_to_end(maze4):
     res = bfs_shortest_path(maze4, (0, 0), (3, 3))
-    rooms = replay_rooms(maze4, (0, 0), res.path)
+    rooms = [RoomCoord(0, 0)]
+    for d in res.path:
+        assert is_open(maze4, rooms[-1], d)
+        dr, dc = d.delta
+        rooms.append(RoomCoord(rooms[-1].row + dr, rooms[-1].col + dc))
     assert len(rooms) == res.distance + 1
     assert rooms[-1] == (3, 3)
     w = walk(maze4, (0, 0), (3, 3), res.path)
