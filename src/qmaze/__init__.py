@@ -1,10 +1,12 @@
-"""Maze solving as an amplified maximum search on a classical statevector.
+"""Maze solving as an amplified maximum search, simulated classically.
 
 Pipeline: generate a perfect maze, view every fixed-length direction
 sequence as a basis state of a 4**n register, score each by walking it
 through the maze, then repeatedly mark above-cutoff states with a phase
-oracle and amplify them until the best-scoring path is measured. Classical
-BFS and exhaustive scans double-check every stage.
+oracle and amplify them until the best-scoring path is measured. Each
+measurement is sampled from the exact two-amplitude closed form of Grover
+search, so no 4**n state is built. Classical BFS and exhaustive scans
+double-check every stage.
 """
 
 from .directions import DIRECTIONS, Direction, parse_direction
@@ -16,13 +18,9 @@ from .maze import (Maze, MazeFormatError, RoomCoord, deserialize,
                    render_ascii, serialize, validate_perfect)
 from .paths import (DEFAULT_N_CAP, format_path, index_to_path, parse_path,
                     path_length, path_to_index)
-from .search import (DEFAULT_GROVER_CAP, KNOWN_COUNT, UNKNOWN_COUNT,
-                     IterationRecord, SearchConfig, SearchResult,
-                     choose_iterations, search_table)
-from .statevector import (OracleSpec, StateVector, apply_diffusion,
-                          apply_oracle, grover_iterate, marked_count,
-                          marked_probability, measure, measure_amplified,
-                          uniform_superposition)
+from .search import (KNOWN_COUNT, UNKNOWN_COUNT, IterationRecord,
+                     SearchConfig, SearchResult, choose_iterations,
+                     measure_amplified, search_table)
 from .verify import (BenchReport, BfsResult, TrialRecord,
                      bfs_consistency_check, bfs_shortest_path,
                      exhaustive_max, run_benchmark)
@@ -39,12 +37,8 @@ __all__ = [
     "WalkResult", "FitnessTable", "TableParams", "TableFormatError", "walk", "fitness_of",
     "fitness_ceiling", "build_fitness_table", "save_table",
     "load_table",
-    "StateVector", "OracleSpec", "uniform_superposition", "apply_oracle",
-    "apply_diffusion", "grover_iterate", "measure", "measure_amplified",
-    "marked_count",
-    "marked_probability",
-    "KNOWN_COUNT", "UNKNOWN_COUNT", "DEFAULT_GROVER_CAP", "SearchConfig",
-    "IterationRecord", "SearchResult", "choose_iterations", "search_table",
+    "KNOWN_COUNT", "UNKNOWN_COUNT", "SearchConfig", "IterationRecord",
+    "SearchResult", "choose_iterations", "measure_amplified", "search_table",
     "BfsResult", "TrialRecord", "BenchReport", "bfs_shortest_path",
     "exhaustive_max", "bfs_consistency_check", "run_benchmark",
     "__version__",

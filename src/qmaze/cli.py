@@ -256,8 +256,9 @@ def _add_search_opts(parser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qmaze",
-                     description="Maze solving as an amplified maximum search"
-                                 " on a dense statevector simulator.")
+                     description="Maze solving as an amplified maximum search,"
+                                 " each measurement sampled from Grover's"
+                                 " closed form.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen", help="generate a perfect maze")

@@ -29,7 +29,7 @@ from .maze import Maze, RoomCoord
 from .paths import DEFAULT_N_CAP
 
 _DUMP_MAGIC = b"QMFT"
-_DUMP_VERSION = 1
+_DUMP_VERSION = 2
 # magic, version, n, m, start row/col, end row/col, d_max, maze digest
 _DUMP_HEADER = struct.Struct("<4s8I32s")
 
@@ -187,10 +187,15 @@ def build_fitness_table(maze: Maze, start, end, n: int,
                                            RoomCoord(*end), maze_digest(maze)))
 
 
+def _body_dtype(d_max: int) -> np.dtype:
+    """The dump body's dtype: little-endian np.min_scalar_type(d_max)."""
+    return np.min_scalar_type(d_max).newbyteorder("<")
+
+
 def save_table(table: FitnessTable, path) -> None:
     """Binary dump: a '<4s8I32s' header (magic, format version, n, m, start
     row/col, end row/col, d_max, maze digest) followed by the values as
-    little-endian int32."""
+    little-endian np.min_scalar_type(d_max) (one byte each up to m = 12)."""
     p = table.params
     if p is None or p.maze_digest is None:
         raise ValueError("cannot save a table without maze parameters")
@@ -199,7 +204,8 @@ def save_table(table: FitnessTable, path) -> None:
                                table.d_max, p.maze_digest)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(table.values, dtype="<i4").tobytes())
+        fh.write(np.ascontiguousarray(table.values, dtype=_body_dtype(table.d_max))
+                 .tobytes())
 
 
 def load_table(path, cap: int = DEFAULT_N_CAP) -> FitnessTable:
@@ -224,13 +230,14 @@ def load_table(path, cap: int = DEFAULT_N_CAP) -> FitnessTable:
         if d_max != fitness_ceiling(m):
             raise TableFormatError(f"d_max {d_max} is not the ceiling"
                                    f" {fitness_ceiling(m)} of a {m}x{m} grid")
-        expected = 4 * 4**n
+        stored = _body_dtype(d_max)
+        expected = stored.itemsize * 4**n
         body = fh.read(expected + 1)
     if len(body) != expected:
         got = "more" if len(body) > expected else len(body)
         raise TableFormatError(f"expected {expected} value bytes, got {got}")
-    raw = np.frombuffer(body, dtype="<i4")
-    if raw.min() < 0 or raw.max() > d_max:
+    raw = np.frombuffer(body, dtype=stored)
+    if raw.max() > d_max:
         raise TableFormatError(f"values outside [0, {d_max}]")
     values = raw.astype(np.min_scalar_type(d_max))
     return FitnessTable(n=n, values=values, max_fitness=int(values.max()),

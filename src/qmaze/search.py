@@ -2,23 +2,29 @@
 
 Each round marks every path whose fitness strictly exceeds the current
 cutoff, amplifies the marked set with Grover iterations on a fresh uniform
-state, and measures once. The measurement is drawn from the exact
-two-amplitude closed form (`measure_amplified`), so a round costs one pass
-over the table whatever its iteration count. A measurement that beats the
-cutoff is accepted and becomes the new cutoff, so accepted cutoffs
-increase strictly. The run stops when the round budget is used up, or
-early once no state is marked: an empty marked set certifies the cutoff is
-the global maximum. The certificate uses the simulator's access to the
-full table, so it can be switched off to model a setting where only
-oracle queries are available.
+state, and measures once. From the uniform state, oracle and diffusion
+only rotate the plane spanned by the marked and the unmarked uniform
+states, so after r calls every marked amplitude is sin((2r+1)t)/sqrt(l)
+and every unmarked one cos((2r+1)t)/sqrt(N-l), with sin(t)**2 = l/N
+(Boyer, Brassard, Hoyer, Tapp, quant-ph/9605034). `measure_amplified`
+samples that distribution exactly, so a round costs one pass over the
+table whatever its iteration count and no state is allocated.
+
+A measurement that beats the cutoff is accepted and becomes the new
+cutoff, so accepted cutoffs increase strictly. The run stops when the
+round budget is used up, or early once no state is marked: an empty marked
+set certifies the cutoff is the global maximum. The certificate uses the
+simulator's access to the full table, so it can be switched off to model a
+setting where only oracle queries are available.
 
 Two policies pick the per-round iteration count:
 
 * ``known_count`` reads the exact marked count l from the table (again a
   simulator privilege) and uses floor(pi / (4t)) with sin(t)**2 = l/N, the
-  fewest calls that bring (2r+1)t nearest to pi/2. It is 0 once l/N >= 1/2:
-  the unamplified state already succeeds with probability l/N, and one call
-  could drop that to sin^2(3t), which is 0 at l/N = 3/4.
+  fewest calls that bring (2r+1)t nearest to pi/2; it never exceeds
+  pi/4 * sqrt(N). It is 0 once l/N >= 1/2: the unamplified state already
+  succeeds with probability l/N, and one call could drop that to
+  sin^2(3t), which is 0 at l/N = 3/4.
 * ``unknown_count`` needs no count: the iteration count is drawn uniformly
   from a window that grows by a factor of 6/5 after every failed round
   (the classic schedule for amplifying an unknown number of solutions),
@@ -31,13 +37,10 @@ import math
 import numpy as np
 
 from .fitness import FitnessTable
-from .statevector import measure_amplified
 
 KNOWN_COUNT = "known_count"
 UNKNOWN_COUNT = "unknown_count"
 _MODES = (KNOWN_COUNT, UNKNOWN_COUNT)
-
-DEFAULT_GROVER_CAP = 1 << 20
 
 
 @dataclasses.dataclass
@@ -48,7 +51,6 @@ class SearchConfig:
     max_rounds: int | None = None
     mode: str = KNOWN_COUNT
     rng_seed: int = 0
-    grover_cap: int = DEFAULT_GROVER_CAP
     certificate_exit: bool = True
 
     def __post_init__(self):
@@ -56,8 +58,6 @@ class SearchConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.grover_cap < 1:
-            raise ValueError("grover_cap must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 
@@ -66,7 +66,6 @@ class SearchConfig:
             "max_rounds": self.max_rounds,
             "mode": self.mode,
             "rng_seed": self.rng_seed,
-            "grover_cap": self.grover_cap,
             "certificate_exit": self.certificate_exit,
         }
 
@@ -123,26 +122,53 @@ def _sample_cutoff(table: FitnessTable, rng: np.random.Generator) -> tuple[int, 
 
 def choose_iterations(num_states: int, marked: int | None, mode: str,
                       rng: np.random.Generator | None = None,
-                      cap: int = DEFAULT_GROVER_CAP,
                       schedule_bound: float = 1.0) -> int:
     """Per-round Grover iteration count.
 
-    known_count uses floor(pi / (4 * asin(sqrt(l/N)))) clamped to [0, cap];
-    unknown_count draws uniformly from [0, min(schedule_bound, cap)).
+    known_count uses floor(pi / (4 * asin(sqrt(l/N))));
+    unknown_count draws uniformly from [0, schedule_bound).
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     if mode == KNOWN_COUNT:
         if marked is None or not 1 <= marked <= num_states:
             raise ValueError("known_count mode needs 1 <= marked <= num_states")
         theta = math.asin(math.sqrt(marked / num_states))
-        return min(math.floor(math.pi / (4 * theta)), cap)
+        return math.floor(math.pi / (4 * theta))
     if mode == UNKNOWN_COUNT:
         if rng is None:
             raise ValueError("unknown_count mode needs an rng")
-        hi = max(1, math.ceil(min(schedule_bound, cap)))
+        hi = max(1, math.ceil(schedule_bound))
         return int(rng.integers(hi))
     raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+
+
+def measure_amplified(marked: np.ndarray, l: int, r: int,
+                      rng: np.random.Generator) -> tuple[int, float]:
+    """Measure the state r Grover calls leave the uniform state in.
+
+    `marked` is the oracle's boolean mask and `l` its number of True
+    entries, which the caller has already counted. Returns the measured
+    index and p = sin^2((2r+1)t), the marked-set probability that was
+    sampled from. The outcome is marked with probability p, and uniform
+    within its level set, as the two-amplitude closed form gives.
+    """
+    if r < 0:
+        raise ValueError("iteration count must be non-negative")
+    num_states = marked.shape[0]
+    if l in (0, num_states):
+        p = float(l != 0)  # exact: the oracle is the identity or a global phase
+    else:
+        p = math.sin((2 * r + 1) * math.asin(math.sqrt(l / num_states))) ** 2
+    hit = rng.random() < p
+    size = l if hit else num_states - l
+    if 2 * size >= num_states:
+        # Rejection: a uniform index lands in the level set w.p. >= 1/2, and
+        # the first one that does is uniform over it.
+        while True:
+            idx = int(rng.integers(num_states))
+            if marked[idx] == hit:
+                return idx, p
+    level = np.flatnonzero(marked if hit else ~marked)
+    return int(level[rng.integers(size)]), p
 
 
 def search_table(table: FitnessTable, config: SearchConfig | None = None) -> SearchResult:
@@ -172,12 +198,11 @@ def search_table(table: FitnessTable, config: SearchConfig | None = None) -> Sea
         if config.mode == KNOWN_COUNT:
             # l == 0 can only happen with the certificate disabled; nothing
             # to amplify, so just measure the uniform state.
-            r = 0 if l == 0 else choose_iterations(num_states, l, KNOWN_COUNT,
-                                                   rng, config.grover_cap)
+            r = 0 if l == 0 else choose_iterations(num_states, l, KNOWN_COUNT, rng)
         else:
             r = choose_iterations(num_states, None, UNKNOWN_COUNT, rng,
-                                  config.grover_cap, schedule_bound=bound)
-        idx, p = measure_amplified(marked, r, rng)
+                                  schedule_bound=bound)
+        idx, p = measure_amplified(marked, l, r, rng)
         fit = int(values[idx])
         calls += r
         accepted = fit > cutoff

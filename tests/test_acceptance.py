@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qmaze import (KNOWN_COUNT, UNKNOWN_COUNT, FitnessTable, OracleSpec,
-                   SearchConfig, apply_diffusion, apply_oracle,
+from qmaze import (KNOWN_COUNT, UNKNOWN_COUNT, FitnessTable, SearchConfig,
                    bfs_consistency_check, bfs_shortest_path,
                    build_fitness_table, exhaustive_max, generate_maze,
-                   grover_iterate, marked_probability, measure, path_length,
-                   run_benchmark, search_table, uniform_superposition,
-                   validate_perfect)
+                   path_length, run_benchmark, search_table, validate_perfect)
 
+from dense_reference import (OracleSpec, apply_diffusion, apply_oracle,
+                             grover_iterate, marked_probability, measure,
+                             uniform_superposition)
 from oracles import grover_success_probability
 
 

@@ -156,7 +156,8 @@ def test_solve_corrupt_table_cache_is_io_error(tmp_path, capsys):
     cache = tmp_path / "t.bin"
     args = ("solve", "--size", "3", "--seed", "11", "--fitness-table", str(cache))
     assert run(capsys, *args)[0] == 0
-    data = bytearray(cache.read_bytes())
+    good = cache.read_bytes()
+    data = bytearray(good)
     struct.pack_into("<I", data, 8, 15)  # n = cap + 1
     cache.write_bytes(bytes(data))
     code, _, err = run(capsys, *args)
@@ -164,6 +165,13 @@ def test_solve_corrupt_table_cache_is_io_error(tmp_path, capsys):
     assert "cap" in err
     cache.write_bytes(b"not a table")
     assert run(capsys, *args)[0] == 2
+    # format version 1 stored the body as <i4; its files are refused, not read
+    header, body = bytearray(good[:68]), good[68:]
+    struct.pack_into("<I", header, 4, 1)
+    cache.write_bytes(bytes(header) + struct.pack(f"<{len(body)}i", *body))
+    code, _, err = run(capsys, *args)
+    assert code == 2
+    assert "version 1" in err
 
 
 def test_solve_json_reports_round_probabilities(capsys):

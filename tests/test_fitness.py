@@ -240,7 +240,7 @@ def test_load_keeps_dtype_and_maze_digest(tmp_path, table3_n6):
     loaded = load_table(path)
     assert loaded.values.dtype == table3_n6.values.dtype
     assert loaded.params.maze_digest == table3_n6.params.maze_digest
-    assert len(path.read_bytes()) == 68 + 4 * 4**6
+    assert len(path.read_bytes()) == 68 + 4**6  # one uint8 per value
 
 
 def test_maze_digest_tells_mazes_apart():
@@ -268,7 +268,7 @@ def _patched(tmp_path, table, **fields):
 
 
 @pytest.mark.parametrize("fields", [
-    {"version": 2},
+    {"version": 1},               # the <i4 body of format 1 is not read
     {"n": DEFAULT_N_CAP + 1},     # refused before 4**n is ever formed
     {"n": 2**32 - 1},
     {"start_row": 2},             # outside the 2x2 grid
@@ -276,6 +276,7 @@ def _patched(tmp_path, table, **fields):
     {"m": 3},                     # d_max 2 is not the 3x3 ceiling 8
     {"d_max": 3},
     {"n": 3},                     # body holds 4**4 values, not 4**3
+    {"version": 3},
 ])
 def test_load_rejects_bad_header(tmp_path, table2_n4, fields):
     path = _patched(tmp_path, table2_n4, **fields)
@@ -304,12 +305,28 @@ def test_load_rejects_bad_magic_and_short_files(tmp_path, table2_n4):
         load_table(path)
 
 
-@pytest.mark.parametrize("bad", [-1, 3, 256 + 1])
-def test_load_rejects_values_out_of_range(tmp_path, table2_n4, bad):
-    # 257 would wrap to 1 in uint8; every value must lie in [0, d_max = 2]
-    path = _patched(tmp_path, table2_n4)
+def _assert_value_refused(path, fmt, bad):
     data = bytearray(path.read_bytes())
-    struct.pack_into("<i", data, 68 + 4 * 5, bad)
+    struct.pack_into(fmt, data, 68 + struct.calcsize(fmt) * 5, bad)
     path.write_bytes(bytes(data))
     with pytest.raises(TableFormatError):
         load_table(path)
+
+
+@pytest.mark.parametrize("bad", [3, 255])
+def test_load_rejects_values_out_of_range(tmp_path, table2_n4, bad):
+    # the body is uint8; every value must lie in [0, d_max = 2]
+    _assert_value_refused(_patched(tmp_path, table2_n4), "<B", bad)
+
+
+@pytest.mark.parametrize("bad", [451, 65535])
+def test_load_rejects_uint16_values_out_of_range(tmp_path, bad):
+    # a 16x16 table's body is little-endian uint16, d_max = 450
+    table = build_fitness_table(generate_maze(16, 1), (0, 0), (15, 15), 3)
+    path = tmp_path / "table.bin"
+    save_table(table, path)
+    assert len(path.read_bytes()) == 68 + 2 * 4**3
+    loaded = load_table(path)
+    assert loaded.values.dtype == np.uint16
+    assert np.array_equal(loaded.values, table.values)
+    _assert_value_refused(path, "<H", bad)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qmaze import (KNOWN_COUNT, UNKNOWN_COUNT, FitnessTable, OracleSpec,
-                   SearchConfig, build_fitness_table, choose_iterations,
-                   exhaustive_max, generate_maze, grover_iterate,
-                   marked_count, marked_probability, search_table,
-                   uniform_superposition)
+from qmaze import (KNOWN_COUNT, UNKNOWN_COUNT, FitnessTable, SearchConfig,
+                   build_fitness_table, choose_iterations, exhaustive_max,
+                   search_table)
 
+from dense_reference import (OracleSpec, grover_iterate, marked_probability,
+                             uniform_superposition)
 from oracles import grover_success_probability
 
 
@@ -50,8 +50,14 @@ def test_known_count_three_quarters_marked_search_reaches_maximum():
     assert started_low > 0
 
 
-def test_known_count_cap_clamps():
-    assert choose_iterations(65536, 1, KNOWN_COUNT, cap=10) == 10
+def test_known_count_stays_within_quarter_pi_sqrt_n():
+    # the fewest calls that bring (2r+1)t nearest to pi/2 never exceed
+    # (pi/4)*sqrt(N), so no separate cap on r is needed
+    for n in range(11):
+        num = 4**n
+        for l in sorted({1, 2, 3, num // 3, num}):
+            if 1 <= l <= num:
+                assert choose_iterations(num, l, KNOWN_COUNT) <= math.pi / 4 * 2**n
 
 
 def test_known_count_rejects_bad_marked():
@@ -72,9 +78,6 @@ def test_unknown_count_window():
     draws = {choose_iterations(256, None, UNKNOWN_COUNT, rng, schedule_bound=4.3)
              for _ in range(300)}
     assert draws == {0, 1, 2, 3, 4}
-    capped = {choose_iterations(256, None, UNKNOWN_COUNT, rng, cap=3,
-                                schedule_bound=50.0) for _ in range(200)}
-    assert capped == {0, 1, 2}
 
 
 def test_unknown_count_needs_rng():
@@ -92,8 +95,6 @@ def test_config_validation():
         SearchConfig(mode="sideways")
     with pytest.raises(ValueError):
         SearchConfig(max_rounds=0)
-    with pytest.raises(ValueError):
-        SearchConfig(grover_cap=0)
     with pytest.raises(ValueError):
         SearchConfig(rng_seed=-1)
 
@@ -157,7 +158,7 @@ def test_round_success_probability_matches_closed_form(table3_n6):
     # two-dimensional rotation value for the r the policy picked
     num = 4**6
     for cutoff in (0, 2, 5, 7):
-        l = marked_count(table3_n6, cutoff)
+        l = int(np.count_nonzero(table3_n6.values > cutoff))
         assert l > 0
         r = choose_iterations(num, l, KNOWN_COUNT)
         oracle = OracleSpec(table3_n6, cutoff)
@@ -174,6 +175,7 @@ def _check_result_invariants(res, table):
     assert res.oracle_calls_total == sum(rec.grover_r for rec in res.history)
     for rec in res.history:
         assert rec.accepted == (rec.measured_fitness > rec.cutoff_before)
+        assert rec.marked == np.count_nonzero(table.values > rec.cutoff_before)
     if accepted:
         assert res.best_fitness == max(cutoffs)
     if res.optimal:

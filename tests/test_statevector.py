@@ -1,14 +1,17 @@
+"""The dense reference state, and the search's closed-form round sampler
+checked against it."""
+
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from qmaze import (FitnessTable, OracleSpec, apply_diffusion, apply_oracle,
-                   build_fitness_table, grover_iterate, marked_count,
-                   marked_probability, measure, measure_amplified,
-                   uniform_superposition)
+from qmaze import FitnessTable, build_fitness_table, measure_amplified
 
+from dense_reference import (OracleSpec, apply_diffusion, apply_oracle,
+                             grover_iterate, marked_probability, measure,
+                             uniform_superposition)
 from oracles import grover_success_probability
 
 
@@ -186,14 +189,6 @@ def test_measure_marked_frequency_within_5_sigma():
     assert abs(hits / trials - p) <= 5 * sigma
 
 
-def test_marked_count_cases(table2_n4):
-    assert marked_count(table2_n4, table2_n4.max_fitness) == 0
-    unique = FitnessTable.from_values(np.array([3, 1, 7, 2], dtype=np.int32))
-    assert marked_count(unique, 6) == 1
-    scan = sum(1 for v in table2_n4.values if v > 0)
-    assert marked_count(table2_n4, 0) == scan
-
-
 def _dense_reference(table, cutoff, r):
     oracle = OracleSpec(table, cutoff)
     return oracle, grover_iterate(uniform_superposition(table.n), oracle, r)
@@ -208,7 +203,7 @@ def test_measure_amplified_probability_matches_dense(table2_n4, table3_n6, r):
         for cutoff in [-1] + levels:
             oracle, state = _dense_reference(table, cutoff, r)
             l = int(np.count_nonzero(oracle.marked))
-            _, p = measure_amplified(oracle.marked, r, np.random.default_rng(0))
+            _, p = measure_amplified(oracle.marked, l, r, np.random.default_rng(0))
             assert abs(p - marked_probability(state, oracle)) < 1e-9
             assert abs(p - grover_success_probability(num, l, r)) < 1e-9
 
@@ -218,12 +213,12 @@ def test_measure_amplified_edge_level_sets(table2_n4):
     nothing = OracleSpec(table2_n4, table2_n4.max_fitness).marked
     everything = OracleSpec(table2_n4, -1).marked
     for r in (0, 1, 7):
-        idx, p = measure_amplified(nothing, r, rng)
+        idx, p = measure_amplified(nothing, 0, r, rng)
         assert p == 0.0 and 0 <= idx < 4**4
-        idx, p = measure_amplified(everything, r, rng)
+        idx, p = measure_amplified(everything, 4**4, r, rng)
         assert p == 1.0 and 0 <= idx < 4**4
     with pytest.raises(ValueError):
-        measure_amplified(nothing, -1, rng)
+        measure_amplified(nothing, 0, -1, rng)
 
 
 @pytest.mark.parametrize("case", ["few marked", "most marked", "maze"])
@@ -235,12 +230,13 @@ def test_measure_amplified_chi_square_against_dense(maze3, case):
     else:
         table, cutoff, r = synthetic_table(5 if case == "few marked" else 40, 3), 0, 1
     oracle, state = _dense_reference(table, cutoff, r)
-    assert 0 < np.count_nonzero(oracle.marked) < 4**3
+    l = int(np.count_nonzero(oracle.marked))
+    assert 0 < l < 4**3
     probs = state.probabilities()
     draws = 20_000
     assert probs.min() * draws >= 5  # every bin large enough for chi-square
     rng = np.random.default_rng(31)
     counts = np.zeros(4**3, dtype=int)
     for _ in range(draws):
-        counts[measure_amplified(oracle.marked, r, rng)[0]] += 1
+        counts[measure_amplified(oracle.marked, l, r, rng)[0]] += 1
     assert scipy.stats.chisquare(counts, probs * draws).pvalue > 0.001
