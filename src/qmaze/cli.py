@@ -1,7 +1,7 @@
 """Command-line front end: gen, solve, verify, bench, render.
 
-Exit codes: 0 success, 1 usage/parameter error, 2 I/O or bad input file,
-3 verification check failed.
+Exit codes: 0 success, 1 usage/parameter error or out of memory, 2 I/O or
+bad input file, 3 verification check failed.
 """
 
 import argparse
@@ -318,6 +318,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,4 +1,4 @@
-"""Walk-based path scoring and the dense per-index fitness table.
+"""Walk-based path scoring and the per-index fitness table.
 
 A path is scored by replaying it through the maze: starting at `start`,
 each direction is consumed in order; the walk moves through open doors,
@@ -12,12 +12,16 @@ These rules live in one transition table over the 2*m*m walk states
 `build_fitness_table` step through it. The path index is a MSB-first
 prefix trie, so the builder expands the top half of the levels once, then
 expands the bottom half only from the distinct states reached there. The
-resulting table is the classical image of the path-index -> fitness
-labeling and is what the phase oracle and the search consume. Its values
-use the smallest unsigned dtype that holds D_max (uint8 up to m = 12).
+table keeps exactly those factors: one row of bottom-half scores per
+distinct top state, and the row each top prefix ends in. It is the
+classical image of the path-index -> fitness labeling; the dense 4**n
+array the search consumes is gathered from the factors on first use, and
+the exhaustive maximum is read from them without it. Scores use the
+smallest unsigned dtype that holds D_max (uint8 up to m = 12).
 """
 
 import dataclasses
+import functools
 import hashlib
 import struct
 from typing import NamedTuple
@@ -133,16 +137,42 @@ class TableParams(NamedTuple):
 class FitnessTable:
     """Fitness of every path index in [0, 4**n), plus its provenance.
 
+    The scores are kept as prefix-trie factors: index p*W + j, where W is
+    rows.shape[1], scores rows[prefix_rows[p], j]. A built table has one
+    row of 4**(n//2) scores per distinct walk state after the top
+    n - n//2 steps, and 4**(n - n//2) prefixes; a wrapped or loaded array
+    is one row under a single prefix. `values` is the dense array, gathered
+    on first use.
+
     d_max is the grid's fitness ceiling; max_fitness is the best value that
-    actually occurs in this table. Built and loaded tables store values as
+    actually occurs in this table. Built and loaded tables store scores as
     np.min_scalar_type(d_max); from_values keeps int32.
     """
 
     n: int
-    values: np.ndarray
+    rows: np.ndarray
+    prefix_rows: np.ndarray
     max_fitness: int
     d_max: int
     params: TableParams | None = None
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The dense 4**n score array; a view of the row when there is only
+        one prefix."""
+        if self.prefix_rows.shape[0] == 1:
+            return self.rows[self.prefix_rows[0]]
+        return self.rows[self.prefix_rows].reshape(-1)
+
+    def value_at(self, idx: int) -> int:
+        """The score of one path index, read from the factors."""
+        p, j = divmod(idx, self.rows.shape[1])
+        return int(self.rows[self.prefix_rows[p], j])
+
+    @classmethod
+    def _one_row(cls, n, values, d_max, params) -> "FitnessTable":
+        return cls(n=n, rows=values[None, :], prefix_rows=np.zeros(1, dtype=np.intp),
+                   max_fitness=int(values.max()), d_max=d_max, params=params)
 
     @classmethod
     def from_values(cls, values, d_max: int | None = None, params=None) -> "FitnessTable":
@@ -153,17 +183,15 @@ class FitnessTable:
         n = (arr.shape[0].bit_length() - 1) // 2
         if 4**n != arr.shape[0]:
             raise ValueError(f"length {arr.shape[0]} is not a power of 4")
-        top = int(arr.max())
-        return cls(n=n, values=arr, max_fitness=top,
-                   d_max=top if d_max is None else d_max, params=params)
+        return cls._one_row(n, arr, int(arr.max()) if d_max is None else d_max, params)
 
 
 def build_fitness_table(maze: Maze, start, end, n: int,
                         cap: int = DEFAULT_N_CAP) -> FitnessTable:
     """Score all 4**n paths over the MSB-first prefix trie: expand the walk
     states of the top n - n//2 levels once, expand the bottom n//2 levels
-    only from each distinct state reached there, and gather each prefix's
-    row of scores."""
+    only from each distinct state reached there, and keep each distinct
+    state's row of scores with the row index of every top prefix."""
     if n < 0:
         raise ValueError("path length must be non-negative")
     if n > cap:
@@ -181,7 +209,7 @@ def build_fitness_table(maze: Maze, start, end, n: int,
         tails = T[tails].reshape(len(tops), -1)
     rows = score[tails]
     m = maze.size
-    return FitnessTable(n=n, values=rows[prefix_top].reshape(-1),
+    return FitnessTable(n=n, rows=rows, prefix_rows=prefix_top,
                         max_fitness=int(rows.max()), d_max=fitness_ceiling(m),
                         params=TableParams(m, maze.seed, RoomCoord(*start),
                                            RoomCoord(*end), maze_digest(maze)))
@@ -240,7 +268,6 @@ def load_table(path, cap: int = DEFAULT_N_CAP) -> FitnessTable:
     if raw.max() > d_max:
         raise TableFormatError(f"values outside [0, {d_max}]")
     values = raw.astype(np.min_scalar_type(d_max))
-    return FitnessTable(n=n, values=values, max_fitness=int(values.max()),
-                        d_max=d_max,
-                        params=TableParams(m, None, RoomCoord(sr, sc),
-                                           RoomCoord(er, ec), digest))
+    return FitnessTable._one_row(n, values, d_max,
+                                 TableParams(m, None, RoomCoord(sr, sc),
+                                             RoomCoord(er, ec), digest))

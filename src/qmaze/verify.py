@@ -64,9 +64,16 @@ def bfs_shortest_path(maze: Maze, start, end) -> BfsResult:
 
 
 def exhaustive_max(table: FitnessTable) -> tuple[int, int]:
-    """(index, value) of the table maximum; lowest index wins ties."""
-    idx = int(np.argmax(table.values))
-    return idx, int(table.values[idx])
+    """(index, value) of the table maximum; lowest index wins ties.
+
+    Reads the trie factors, never the dense array: the lowest index lies
+    under the first prefix whose row reaches the maximum, at that row's
+    first column that does."""
+    rows, prefix_rows = table.rows, table.prefix_rows
+    p = int(np.argmax(rows.max(axis=1)[prefix_rows]))
+    row = rows[prefix_rows[p]]
+    j = int(np.argmax(row))
+    return p * rows.shape[1] + j, int(row[j])
 
 
 def bfs_consistency_check(maze: Maze, start, end, n: int,
@@ -79,7 +86,7 @@ def bfs_consistency_check(maze: Maze, start, end, n: int,
         return True
     steps = res.path + (Direction.N,) * (n - res.distance)
     idx = path_to_index(steps, n)
-    return int(table.values[idx]) == fitness_ceiling(maze.size)
+    return table.value_at(idx) == fitness_ceiling(maze.size)
 
 
 @dataclasses.dataclass

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qmaze import deserialize, validate_perfect, walk
+from qmaze import cli, deserialize, validate_perfect, walk
 from qmaze.cli import main
 
 
@@ -181,6 +181,19 @@ def test_solve_json_reports_round_probabilities(capsys):
     rounds = json.loads(out)["result"]["rounds"]
     assert rounds
     assert all(0.0 <= rec["p_success"] <= 1.0 for rec in rounds)
+
+
+@pytest.mark.parametrize("target,argv", [
+    ("generate_maze", ("gen", "--size", "3")),
+    ("build_fitness_table", ("verify", "--size", "3", "--seed", "11")),
+])
+def test_out_of_memory_is_exit_1(monkeypatch, capsys, target, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.00 GiB for an array")
+    monkeypatch.setattr(cli, target, exhausted)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "error: out of memory: Unable to allocate" in err
 
 
 def test_verify_ok(capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from qmaze import (DEFAULT_N_CAP, Direction, FitnessTable, Maze, RoomCoord,
                    SearchConfig, TableFormatError, WalkResult,
-                   build_fitness_table, fitness_ceiling, fitness_of,
-                   generate_maze, generate_maze_with_log, index_to_path,
-                   load_table, save_table, search_table, walk)
+                   build_fitness_table, exhaustive_max, fitness_ceiling,
+                   fitness_of, generate_maze, generate_maze_with_log,
+                   index_to_path, load_table, save_table, search_table, walk)
 
 from oracles import (dijkstra_distance, open_pairs_from_events, replay_walk,
                      score)
@@ -96,19 +96,20 @@ def test_fitness_strictly_monotone_in_distance():
     assert all(a > b for a, b in zip(fits, fits[1:]))
 
 
-def _oracle_grid():
-    # corners are 8 or more steps apart from m = 5 on, out of reach at n <= 6
-    for m in (1, 2, 3, 5, 12):
+def _endpoint_grid(sizes, lengths):
+    for m in sizes:
         c = m // 2
         ends = {"corners": ((0, 0), (m - 1, m - 1)),
                 "same": ((c, c), (c, c)),
                 "border": ((m - 1, c), (0, m - 1))}
-        for n in (0, 1, 4, 6):
+        for n in lengths:
             for name, (start, end) in ends.items():
                 yield pytest.param(m, start, end, n, id=f"m{m}-n{n}-{name}")
 
 
-@pytest.mark.parametrize("m,start,end,n", _oracle_grid())
+# corners are 8 or more steps apart from m = 5 on, out of reach at n <= 6
+@pytest.mark.parametrize("m,start,end,n",
+                         _endpoint_grid((1, 2, 3, 5, 12), (0, 1, 4, 6)))
 def test_table_matches_independent_oracle(m, start, end, n):
     maze, events = generate_maze_with_log(m, 42)
     pairs = open_pairs_from_events(events)
@@ -121,6 +122,36 @@ def test_table_matches_independent_oracle(m, start, end, n):
     assert table.max_fitness == max(expected)
     reachable = dijkstra_distance(maze, start, end) <= n
     assert (table.max_fitness == fitness_ceiling(m)) == reachable
+
+
+@pytest.mark.parametrize("m,start,end,n",
+                         _endpoint_grid((1, 2, 3, 5, 8), (0, 1, 2, 5, 7)))
+def test_factors_match_the_dense_table(m, start, end, n):
+    table = build_fitness_table(generate_maze(m, 42), start, end, n)
+    assert table.rows.shape[1] == 4 ** (n // 2)
+    assert table.prefix_rows.shape == (4 ** (n - n // 2),)
+    # every row is some prefix's, so no score outside the table is stored
+    assert sorted(set(table.prefix_rows.tolist())) == list(range(len(table.rows)))
+    best = exhaustive_max(table)
+    assert "values" not in vars(table)
+    values = table.values
+    assert best == (int(np.argmax(values)), int(values.max()))
+    assert values.dtype == table.rows.dtype == np.min_scalar_type(table.d_max)
+    if n <= 5:
+        assert [table.value_at(i) for i in range(4**n)] == values.tolist()
+
+
+def test_one_row_tables_share_the_array(tmp_path, table2_n4):
+    wrapped = FitnessTable.from_values(np.arange(16))
+    assert wrapped.rows.shape == (1, 16)
+    assert np.shares_memory(wrapped.values, wrapped.rows)
+    assert [wrapped.value_at(i) for i in range(16)] == list(range(16))
+    path = tmp_path / "table.bin"
+    save_table(table2_n4, path)
+    loaded = load_table(path)
+    assert loaded.rows.shape == (1, 4**4)
+    assert loaded.prefix_rows.tolist() == [0]
+    assert [loaded.value_at(i) for i in range(4**4)] == table2_n4.values.tolist()
 
 
 def test_off_grid_door_bits_stay_closed():

@@ -80,6 +80,31 @@ def test_unknown_count_window():
     assert draws == {0, 1, 2, 3, 4}
 
 
+def test_unknown_count_window_clamps_at_sqrt_n():
+    # nothing is ever marked, so every round fails and the window grows
+    # until the clamp at sqrt(16) = 4 holds it
+    table = FitnessTable.from_values(np.full(16, 5, dtype=np.int32))
+    cfg = SearchConfig(mode=UNKNOWN_COUNT, rng_seed=0, max_rounds=100,
+                       certificate_exit=False)
+    res = search_table(table, cfg)
+    assert res.rounds_used == 100
+    assert max(rec.grover_r for rec in res.history) == 3
+
+
+def test_unknown_count_window_resets_on_acceptance():
+    table = FitnessTable.from_values(np.arange(64, dtype=np.int32))
+    after_growth = 0
+    for seed in range(20):
+        cfg = SearchConfig(mode=UNKNOWN_COUNT, rng_seed=seed, max_rounds=40)
+        history = search_table(table, cfg).history
+        for i, (rec, nxt) in enumerate(zip(history, history[1:])):
+            if rec.accepted:
+                assert nxt.grover_r == 0
+                # the window had grown past 1 before this acceptance
+                after_growth += i > 0 and not history[i - 1].accepted
+    assert after_growth >= 20
+
+
 def test_unknown_count_needs_rng():
     with pytest.raises(ValueError):
         choose_iterations(16, None, UNKNOWN_COUNT)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,35 @@ def test_exhaustive_max_single_entry(maze2):
 def test_exhaustive_max_tie_breaks_low():
     t = FitnessTable.from_values(np.full(16, 9, dtype=np.int32))
     assert exhaustive_max(t) == (0, 9)
+
+
+def test_exhaustive_max_tie_under_shared_row():
+    # prefixes 1 and 2 share row 2, whose maximum 3 is also row 0's; row 0
+    # holds it at a lower column but under the last prefix
+    rows = np.array([[3, 3, 0, 0], [0, 1, 0, 1], [0, 0, 0, 3]], dtype=np.uint8)
+    table = FitnessTable(n=2, rows=rows, prefix_rows=np.array([1, 2, 2, 0]),
+                         max_fitness=3, d_max=3)
+    assert table.values.tolist() == [0, 1, 0, 1, 0, 0, 0, 3, 0, 0, 0, 3, 3, 3, 0, 0]
+    assert exhaustive_max(table) == (7, 3)
+
+
+def test_verify_never_forms_the_dense_table():
+    # 8x8 seed 7 has (1, 5) 12 steps from (0, 0): the check reads one entry
+    maze = generate_maze(8, 7)
+    start, end, n = (0, 0), (1, 5), 12
+    assert bfs_shortest_path(maze, start, end).distance == n
+    tracemalloc.start()
+    try:
+        table = build_fitness_table(maze, start, end, n)
+        best = exhaustive_max(table)
+        consistent = bfs_consistency_check(maze, start, end, n, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert best[1] == fitness_ceiling(8)
+    assert consistent
+    assert peak < 2 * 2**20  # the dense uint8 table alone is 16 MiB
+    assert "values" not in vars(table)
 
 
 def test_exhaustive_max_matches_reverse_scan(table2_n4):
