@@ -10,9 +10,9 @@ double-check every stage.
 """
 
 from .directions import DIRECTIONS, Direction, parse_direction
-from .fitness import (FitnessTable, TableFormatError, TableParams, WalkResult,
-                      build_fitness_table, fitness_ceiling, fitness_of,
-                      load_table, save_table, walk)
+from .fitness import (FitnessTable, TableFormatError, WalkResult,
+                      build_fitness_table, fitness_ceiling, load_table,
+                      save_table, walk)
 from .maze import (Maze, MazeFormatError, RoomCoord, deserialize,
                    generate_maze, generate_maze_with_log, is_open,
                    render_ascii, serialize, validate_perfect)
@@ -34,9 +34,8 @@ __all__ = [
     "deserialize", "render_ascii",
     "DEFAULT_N_CAP", "path_length", "path_to_index", "index_to_path",
     "parse_path", "format_path",
-    "WalkResult", "FitnessTable", "TableParams", "TableFormatError", "walk", "fitness_of",
-    "fitness_ceiling", "build_fitness_table", "save_table",
-    "load_table",
+    "WalkResult", "FitnessTable", "TableFormatError", "walk",
+    "fitness_ceiling", "build_fitness_table", "save_table", "load_table",
     "KNOWN_COUNT", "UNKNOWN_COUNT", "SearchConfig", "IterationRecord",
     "SearchResult", "choose_iterations", "measure_amplified", "search_table",
     "BfsResult", "TrialRecord", "BenchReport", "bfs_shortest_path",

@@ -10,9 +10,9 @@ import os
 import sys
 
 from .fitness import (TableFormatError, build_fitness_table, fitness_ceiling,
-                      load_table, maze_digest, save_table, walk)
-from .maze import (Maze, MazeFormatError, deserialize, generate_maze,
-                   render_ascii, serialize, validate_perfect)
+                      load_table, save_table, walk)
+from .maze import (Maze, MazeFormatError, _endpoints_in_grid, deserialize,
+                   generate_maze, render_ascii, serialize, validate_perfect)
 from .paths import DEFAULT_N_CAP, format_path, index_to_path, path_length
 from .search import KNOWN_COUNT, UNKNOWN_COUNT, SearchConfig, search_table
 from .verify import (bfs_consistency_check, bfs_shortest_path, exhaustive_max,
@@ -53,9 +53,7 @@ def _load_maze(args) -> Maze:
 def _endpoints(args, maze: Maze):
     start = _parse_coord(args.start) if args.start else (0, 0)
     end = _parse_coord(args.end) if args.end else (maze.size - 1, maze.size - 1)
-    for name, room in (("start", start), ("end", end)):
-        if not (0 <= room[0] < maze.size and 0 <= room[1] < maze.size):
-            raise ValueError(f"{name} {room} outside the {maze.size}x{maze.size} grid")
+    _endpoints_in_grid(maze.size, start, end)
     return start, end
 
 
@@ -70,17 +68,10 @@ def _search_config(args) -> SearchConfig:
 
 def _solve_table(args, maze, start, end, n):
     if args.fitness_table and os.path.exists(args.fitness_table):
-        table = load_table(args.fitness_table, cap=args.cap)
-        p = table.params
-        if (table.n, p.maze_size, p.maze_digest, tuple(p.start), tuple(p.end)) != \
-                (n, maze.size, maze_digest(maze), tuple(start), tuple(end)):
-            raise ValueError(
-                f"cached table {args.fitness_table} was built for different"
-                " parameters; delete it or change the flags")
-        return table
+        return load_table(args.fitness_table, maze, start, end, n, cap=args.cap)
     table = build_fitness_table(maze, start, end, n, cap=args.cap)
     if args.fitness_table:
-        save_table(table, args.fitness_table)
+        save_table(table, args.fitness_table, maze, start, end)
     return table
 
 
@@ -233,6 +224,9 @@ def _add_endpoints(parser):
                         help="start room (default 0,0)")
     parser.add_argument("--end", metavar="R,C",
                         help="end room (default bottom-right corner)")
+
+
+def _add_length(parser):
     parser.add_argument("--length", "-n", type=int, metavar="N",
                         help="path length override (default: twice the"
                              " Manhattan distance)")
@@ -271,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="search for the best path")
     _add_maze_source(p)
     _add_endpoints(p)
+    _add_length(p)
     _add_search_opts(p)
     p.add_argument("--fitness-table", metavar="FILE",
                    help="binary fitness-table cache: loaded if present,"
@@ -280,11 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the classical ground-truth checks")
     _add_maze_source(p)
     _add_endpoints(p)
+    _add_length(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="multi-trial success/cost benchmark")
     _add_maze_source(p)
     _add_endpoints(p)
+    _add_length(p)
     _add_search_opts(p)
     p.add_argument("--trials", type=int, default=20)
     p.set_defaults(func=cmd_bench)

@@ -18,6 +18,10 @@ classical image of the path-index -> fitness labeling; the dense 4**n
 array the search consumes is gathered from the factors on first use, and
 the exhaustive maximum is read from them without it. Scores use the
 smallest unsigned dtype that holds D_max (uint8 up to m = 12).
+
+A table carries no record of the request it was built for. Only the file
+cache (`save_table`, `load_table`) knows one: its header holds a SHA-256
+key over the request, and a load sizes the body from the request alone.
 """
 
 import dataclasses
@@ -29,13 +33,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .directions import Direction
-from .maze import Maze, RoomCoord
+from .maze import Maze, RoomCoord, _endpoints_in_grid
 from .paths import DEFAULT_N_CAP
 
 _DUMP_MAGIC = b"QMFT"
-_DUMP_VERSION = 2
-# magic, version, n, m, start row/col, end row/col, d_max, maze digest
-_DUMP_HEADER = struct.Struct("<4s8I32s")
+_DUMP_VERSION = 3
+# magic, version, key (see _table_key)
+_DUMP_HEADER = struct.Struct("<4sI32s")
 
 
 class TableFormatError(ValueError):
@@ -65,11 +69,7 @@ def _transitions(maze: Maze, start, end):
     is; moving into `end` stops it there; start == end starts stopped.
     """
     m = maze.size
-    start = RoomCoord(*start)
-    end = RoomCoord(*end)
-    for name, room in (("start", start), ("end", end)):
-        if not (0 <= room.row < m and 0 <= room.col < m):
-            raise ValueError(f"{name} room {tuple(room)} outside {m}x{m} grid")
+    start, end = _endpoints_in_grid(m, start, end)
     cells = m * m
     here = np.arange(cells)
     rows, cols = np.divmod(here, m)
@@ -111,31 +111,9 @@ def walk(maze: Maze, start, end, steps) -> WalkResult:
     return WalkResult(room, taken, room == RoomCoord(*end))
 
 
-def fitness_of(result: WalkResult, end, m: int) -> int:
-    """Score a walk: fitness_ceiling(m) minus squared distance to `end`."""
-    er, ec = end
-    dr = er - result.final_room.row
-    dc = ec - result.final_room.col
-    return fitness_ceiling(m) - (dr * dr + dc * dc)
-
-
-def maze_digest(maze: Maze) -> bytes:
-    """SHA-256 of the maze's door masks, row by row: which maze a table
-    was built from."""
-    return hashlib.sha256(bytes(mask for row in maze.rooms for mask in row)).digest()
-
-
-class TableParams(NamedTuple):
-    maze_size: int
-    maze_seed: int | None
-    start: RoomCoord
-    end: RoomCoord
-    maze_digest: bytes | None = None
-
-
 @dataclasses.dataclass
 class FitnessTable:
-    """Fitness of every path index in [0, 4**n), plus its provenance.
+    """Fitness of every path index in [0, 4**n).
 
     The scores are kept as prefix-trie factors: index p*W + j, where W is
     rows.shape[1], scores rows[prefix_rows[p], j]. A built table has one
@@ -146,7 +124,9 @@ class FitnessTable:
 
     d_max is the grid's fitness ceiling; max_fitness is the best value that
     actually occurs in this table. Built and loaded tables store scores as
-    np.min_scalar_type(d_max); from_values keeps int32.
+    np.min_scalar_type(d_max); from_values keeps int32. A table records
+    nothing of the maze or endpoints it was built from; the file cache
+    keys its files by the request instead.
     """
 
     n: int
@@ -154,7 +134,6 @@ class FitnessTable:
     prefix_rows: np.ndarray
     max_fitness: int
     d_max: int
-    params: TableParams | None = None
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -170,12 +149,12 @@ class FitnessTable:
         return int(self.rows[self.prefix_rows[p], j])
 
     @classmethod
-    def _one_row(cls, n, values, d_max, params) -> "FitnessTable":
+    def _one_row(cls, n, values, d_max) -> "FitnessTable":
         return cls(n=n, rows=values[None, :], prefix_rows=np.zeros(1, dtype=np.intp),
-                   max_fitness=int(values.max()), d_max=d_max, params=params)
+                   max_fitness=int(values.max()), d_max=d_max)
 
     @classmethod
-    def from_values(cls, values, d_max: int | None = None, params=None) -> "FitnessTable":
+    def from_values(cls, values, d_max: int | None = None) -> "FitnessTable":
         """Wrap a raw value array (mostly for synthetic tables in experiments)."""
         arr = np.ascontiguousarray(values, dtype=np.int32)
         if arr.ndim != 1 or arr.shape[0] < 1:
@@ -183,7 +162,18 @@ class FitnessTable:
         n = (arr.shape[0].bit_length() - 1) // 2
         if 4**n != arr.shape[0]:
             raise ValueError(f"length {arr.shape[0]} is not a power of 4")
-        return cls._one_row(n, arr, int(arr.max()) if d_max is None else d_max, params)
+        return cls._one_row(n, arr, int(arr.max()) if d_max is None else d_max)
+
+
+def _check_length(n: int, cap: int) -> None:
+    """The length rule shared by the builder and the cache loader."""
+    if n < 0:
+        raise ValueError("path length must be non-negative")
+    if n > cap:
+        raise ValueError(
+            f"path length {n} exceeds the cap {cap} (4**{n} table entries);"
+            " raise the cap explicitly if you really want this"
+        )
 
 
 def build_fitness_table(maze: Maze, start, end, n: int,
@@ -192,13 +182,7 @@ def build_fitness_table(maze: Maze, start, end, n: int,
     states of the top n - n//2 levels once, expand the bottom n//2 levels
     only from each distinct state reached there, and keep each distinct
     state's row of scores with the row index of every top prefix."""
-    if n < 0:
-        raise ValueError("path length must be non-negative")
-    if n > cap:
-        raise ValueError(
-            f"path length {n} exceeds the cap {cap} (4**{n} table entries);"
-            " raise the cap explicitly if you really want this"
-        )
+    _check_length(n, cap)
     T, score, s0 = _transitions(maze, start, end)
     states = np.array([s0], dtype=T.dtype)
     for _ in range(n - n // 2):
@@ -208,11 +192,8 @@ def build_fitness_table(maze: Maze, start, end, n: int,
     for _ in range(n // 2):
         tails = T[tails].reshape(len(tops), -1)
     rows = score[tails]
-    m = maze.size
     return FitnessTable(n=n, rows=rows, prefix_rows=prefix_top,
-                        max_fitness=int(rows.max()), d_max=fitness_ceiling(m),
-                        params=TableParams(m, maze.seed, RoomCoord(*start),
-                                           RoomCoord(*end), maze_digest(maze)))
+                        max_fitness=int(rows.max()), d_max=fitness_ceiling(maze.size))
 
 
 def _body_dtype(d_max: int) -> np.dtype:
@@ -220,46 +201,51 @@ def _body_dtype(d_max: int) -> np.dtype:
     return np.min_scalar_type(d_max).newbyteorder("<")
 
 
-def save_table(table: FitnessTable, path) -> None:
-    """Binary dump: a '<4s8I32s' header (magic, format version, n, m, start
-    row/col, end row/col, d_max, maze digest) followed by the values as
+def _table_key(maze: Maze, start, end, n: int) -> bytes:
+    """SHA-256 over everything a table is built from: the grid size, the
+    endpoints, the path length and every room's door mask."""
+    request = ",".join(str(int(v)) for v in (maze.size, *start, *end, n))
+    masks = bytes(mask for row in maze.rooms for mask in row)
+    return hashlib.sha256(request.encode() + b";" + masks).digest()
+
+
+def save_table(table: FitnessTable, path, maze: Maze, start, end) -> None:
+    """Binary dump: a '<4sI32s' header (magic, format version, the key of
+    the request the table was built for) followed by the values as
     little-endian np.min_scalar_type(d_max) (one byte each up to m = 12)."""
-    p = table.params
-    if p is None or p.maze_digest is None:
-        raise ValueError("cannot save a table without maze parameters")
-    header = _DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION, table.n, p.maze_size,
-                               p.start.row, p.start.col, p.end.row, p.end.col,
-                               table.d_max, p.maze_digest)
+    header = _DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION,
+                               _table_key(maze, start, end, table.n))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(table.values, dtype=_body_dtype(table.d_max))
                  .tobytes())
 
 
-def load_table(path, cap: int = DEFAULT_N_CAP) -> FitnessTable:
-    """Read a save_table dump, checking the header before sizing anything
-    from it. Raises TableFormatError on a malformed file. The maze seed is
-    not part of the format, so the loaded params carry maze_seed=None."""
+def load_table(path, maze: Maze, start, end, n: int,
+               cap: int = DEFAULT_N_CAP) -> FitnessTable:
+    """Read the save_table dump of the table for (maze, start, end, n).
+
+    The request is checked before the file is opened, and the body is sized
+    from the request, never from the file. A file built for another request
+    raises ValueError; a malformed one raises TableFormatError."""
+    _check_length(n, cap)
+    _endpoints_in_grid(maze.size, start, end)
+    d_max = fitness_ceiling(maze.size)
+    stored = _body_dtype(d_max)
+    expected = stored.itemsize * 4**n
     with open(path, "rb") as fh:
         head = fh.read(_DUMP_HEADER.size)
         if len(head) < _DUMP_HEADER.size:
             raise TableFormatError("fitness table file too short for its header")
-        magic, version, n, m, sr, sc, er, ec, d_max, digest = _DUMP_HEADER.unpack(head)
+        magic, version, key = _DUMP_HEADER.unpack(head)
         if magic != _DUMP_MAGIC:
             raise TableFormatError("not a qmaze fitness table (bad magic)")
         if version != _DUMP_VERSION:
             raise TableFormatError(f"fitness table format version {version},"
                                    f" expected {_DUMP_VERSION}")
-        if n > cap:
-            raise TableFormatError(f"path length {n} exceeds the cap {cap}")
-        for name, row, col in (("start", sr, sc), ("end", er, ec)):
-            if not (row < m and col < m):
-                raise TableFormatError(f"{name} room {(row, col)} outside {m}x{m} grid")
-        if d_max != fitness_ceiling(m):
-            raise TableFormatError(f"d_max {d_max} is not the ceiling"
-                                   f" {fitness_ceiling(m)} of a {m}x{m} grid")
-        stored = _body_dtype(d_max)
-        expected = stored.itemsize * 4**n
+        if key != _table_key(maze, start, end, n):
+            raise ValueError(f"cached table {path} was built for different"
+                             " parameters; delete it or change the flags")
         body = fh.read(expected + 1)
     if len(body) != expected:
         got = "more" if len(body) > expected else len(body)
@@ -267,7 +253,4 @@ def load_table(path, cap: int = DEFAULT_N_CAP) -> FitnessTable:
     raw = np.frombuffer(body, dtype=stored)
     if raw.max() > d_max:
         raise TableFormatError(f"values outside [0, {d_max}]")
-    values = raw.astype(np.min_scalar_type(d_max))
-    return FitnessTable._one_row(n, values, d_max,
-                                 TableParams(m, None, RoomCoord(sr, sc),
-                                             RoomCoord(er, ec), digest))
+    return FitnessTable._one_row(n, raw.astype(np.min_scalar_type(d_max)), d_max)

@@ -52,6 +52,15 @@ class _SplitMix64:
                 return u % k
 
 
+def _endpoints_in_grid(m: int, start, end) -> tuple[RoomCoord, RoomCoord]:
+    """start and end as RoomCoords; ValueError if either lies off the m x m grid."""
+    start, end = RoomCoord(*start), RoomCoord(*end)
+    for name, room in (("start", start), ("end", end)):
+        if not (0 <= room.row < m and 0 <= room.col < m):
+            raise ValueError(f"{name} room {tuple(room)} outside {m}x{m} grid")
+    return start, end
+
+
 @dataclasses.dataclass(frozen=True)
 class Maze:
     """Immutable maze: size, the seed it was built from, and per-room door masks."""
@@ -59,9 +68,6 @@ class Maze:
     size: int
     seed: int
     rooms: tuple[tuple[int, ...], ...]
-
-    def mask(self, row: int, col: int) -> int:
-        return self.rooms[row][col]
 
     def open_door_count(self) -> int:
         """Number of open door *pairs*."""

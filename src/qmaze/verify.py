@@ -15,7 +15,7 @@ import numpy as np
 
 from .directions import DIRECTIONS, Direction
 from .fitness import FitnessTable, build_fitness_table, fitness_ceiling
-from .maze import Maze, RoomCoord, is_open
+from .maze import Maze, RoomCoord, _endpoints_in_grid, is_open
 from .paths import DEFAULT_N_CAP, path_to_index
 from .search import SearchConfig, search_table
 
@@ -28,12 +28,7 @@ class BfsResult(NamedTuple):
 def bfs_shortest_path(maze: Maze, start, end) -> BfsResult:
     """Shortest open-door route between two rooms; always exists in a
     perfect maze."""
-    m = maze.size
-    start = RoomCoord(*start)
-    end = RoomCoord(*end)
-    for name, room in (("start", start), ("end", end)):
-        if not (0 <= room.row < m and 0 <= room.col < m):
-            raise ValueError(f"{name} room {tuple(room)} outside {m}x{m} grid")
+    start, end = _endpoints_in_grid(maze.size, start, end)
     if start == end:
         return BfsResult(0, ())
     prev: dict[RoomCoord, tuple[RoomCoord, Direction]] = {}

@@ -157,21 +157,33 @@ def test_solve_corrupt_table_cache_is_io_error(tmp_path, capsys):
     args = ("solve", "--size", "3", "--seed", "11", "--fitness-table", str(cache))
     assert run(capsys, *args)[0] == 0
     good = cache.read_bytes()
-    data = bytearray(good)
-    struct.pack_into("<I", data, 8, 15)  # n = cap + 1
-    cache.write_bytes(bytes(data))
-    code, _, err = run(capsys, *args)
-    assert code == 2
-    assert "cap" in err
+    header, body = good[:40], good[40:]
     cache.write_bytes(b"not a table")
     assert run(capsys, *args)[0] == 2
-    # format version 1 stored the body as <i4; its files are refused, not read
-    header, body = bytearray(good[:68]), good[68:]
-    struct.pack_into("<I", header, 4, 1)
-    cache.write_bytes(bytes(header) + struct.pack(f"<{len(body)}i", *body))
-    code, _, err = run(capsys, *args)
-    assert code == 2
-    assert "version 1" in err
+    for bad in (b"QMFt" + good[4:],            # magic
+                good[:39],                     # header one byte short
+                good[:-1], good + b"\0",       # body one byte off
+                header + b"\xff" + body[1:]):  # a value above D_max = 8
+        cache.write_bytes(bad)
+        assert run(capsys, *args)[0] == 2
+    # a file that says format version 1 or 2 is refused, not read
+    for version in (1, 2):
+        data = bytearray(header)
+        struct.pack_into("<I", data, 4, version)
+        cache.write_bytes(bytes(data) + body)
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert f"version {version}" in err
+
+
+def test_solve_cache_above_cap_is_usage_error(tmp_path, capsys):
+    cache = tmp_path / "t.bin"
+    args = ("solve", "--size", "3", "--seed", "11", "--fitness-table", str(cache))
+    assert run(capsys, *args)[0] == 0
+    for length, cap in (("15", "14"), ("8", "7")):
+        code, _, err = run(capsys, *args, "--length", length, "--cap", cap)
+        assert code == 1
+        assert "cap" in err
 
 
 def test_solve_json_reports_round_probabilities(capsys):
@@ -247,6 +259,11 @@ def test_render_single_cell(capsys):
     code, out, _ = run(capsys, "render", "--size", "1")
     assert code == 0
     assert out == "+---+\n|   |\n+---+\n"
+
+
+def test_render_takes_no_length(capsys):
+    assert run(capsys, "render", "--size", "3", "--length", "4")[0] == 1
+    assert run(capsys, "render", "--size", "3", "--cap", "4")[0] == 1
 
 
 def test_render_bfs_overlay(capsys):

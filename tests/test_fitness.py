@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from qmaze import (DEFAULT_N_CAP, Direction, FitnessTable, Maze, RoomCoord,
                    SearchConfig, TableFormatError, WalkResult,
                    build_fitness_table, exhaustive_max, fitness_ceiling,
-                   fitness_of, generate_maze, generate_maze_with_log,
-                   index_to_path, load_table, save_table, search_table, walk)
+                   generate_maze, generate_maze_with_log, index_to_path,
+                   load_table, save_table, search_table, walk)
 
 from oracles import (dijkstra_distance, open_pairs_from_events, replay_walk,
                      score)
@@ -69,28 +70,31 @@ def test_walk_stops_on_arrival(maze3):
     assert res.final_room == RoomCoord(2, 2)
 
 
-def test_fitness_at_end_room():
-    res = WalkResult(RoomCoord(2, 2), 4, True)
-    assert fitness_of(res, (2, 2), 3) == 8
+def _score_of(maze, room, end):
+    """The fitness of standing in `room`: an n=0 table scores its start."""
+    return int(build_fitness_table(maze, room, end, 0).values[0])
 
 
-def test_fitness_far_corner():
-    res = WalkResult(RoomCoord(0, 0), 0, False)
-    assert fitness_of(res, (2, 2), 3) == 0
+def test_fitness_at_end_room(maze3):
+    assert _score_of(maze3, (2, 2), (2, 2)) == score((2, 2), (2, 2), 3) == 8
 
 
-def test_fitness_part_way():
-    res = WalkResult(RoomCoord(2, 0), 2, False)
-    assert fitness_of(res, (2, 2), 3) == 4
+def test_fitness_far_corner(maze3):
+    assert _score_of(maze3, (0, 0), (2, 2)) == score((0, 0), (2, 2), 3) == 0
 
 
-def test_fitness_strictly_monotone_in_distance():
+def test_fitness_part_way(maze3):
+    assert _score_of(maze3, (2, 0), (2, 2)) == score((2, 0), (2, 2), 3) == 4
+
+
+def test_fitness_strictly_monotone_in_distance(maze4):
     m, end = 4, (3, 3)
     by_dist = {}
     for r in range(m):
         for c in range(m):
             d2 = (3 - r) ** 2 + (3 - c) ** 2
-            by_dist[d2] = fitness_of(WalkResult(RoomCoord(r, c), 0, False), end, m)
+            by_dist[d2] = _score_of(maze4, (r, c), end)
+            assert by_dist[d2] == score((r, c), end, m)
     dists = sorted(by_dist)
     fits = [by_dist[d] for d in dists]
     assert all(a > b for a, b in zip(fits, fits[1:]))
@@ -147,8 +151,8 @@ def test_one_row_tables_share_the_array(tmp_path, table2_n4):
     assert np.shares_memory(wrapped.values, wrapped.rows)
     assert [wrapped.value_at(i) for i in range(16)] == list(range(16))
     path = tmp_path / "table.bin"
-    save_table(table2_n4, path)
-    loaded = load_table(path)
+    save_table(table2_n4, path, *_REQUEST2)
+    loaded = load_table(path, *_REQUEST2, 4)
     assert loaded.rows.shape == (1, 4**4)
     assert loaded.prefix_rows.tolist() == [0]
     assert [loaded.value_at(i) for i in range(4**4)] == table2_n4.values.tolist()
@@ -169,7 +173,7 @@ def test_table_matches_scalar_walk(maze3, table3_n6):
     rng = np.random.default_rng(7)
     for idx in map(int, rng.integers(0, 4**6, size=400)):
         res = walk(maze3, (0, 0), (2, 2), index_to_path(idx, 6))
-        assert int(table3_n6.values[idx]) == fitness_of(res, (2, 2), 3)
+        assert int(table3_n6.values[idx]) == score(res.final_room, (2, 2), 3)
 
 
 def test_table_n0(maze2):
@@ -184,7 +188,6 @@ def test_table_bit_exact_purity(maze3):
     a = build_fitness_table(maze3, (0, 0), (2, 2), 5)
     b = build_fitness_table(maze3, (0, 0), (2, 2), 5)
     assert np.array_equal(a.values, b.values)
-    assert a.params == b.params
 
 
 def test_table_range_and_max(maze2, table2_n4):
@@ -210,7 +213,7 @@ def test_prefix_property(maze3):
         tail = tuple(Direction(int(d)) for d in rng.integers(0, 4, size=6 - keep))
         variant = steps[:keep] + tail
         other = walk(maze3, (0, 0), (2, 2), variant)
-        assert fitness_of(other, (2, 2), 3) == fitness_of(res, (2, 2), 3)
+        assert score(other.final_room, (2, 2), 3) == score(res.final_room, (2, 2), 3)
 
 
 def test_cap_enforced(maze2):
@@ -234,28 +237,6 @@ def test_from_values_rejects_bad_length():
         FitnessTable.from_values([1, 2, 3])
 
 
-def test_save_load_roundtrip(tmp_path, table2_n4):
-    path = tmp_path / "table.bin"
-    save_table(table2_n4, path)
-    loaded = load_table(path)
-    assert loaded.n == table2_n4.n
-    assert loaded.d_max == table2_n4.d_max
-    assert np.array_equal(loaded.values, table2_n4.values)
-    assert loaded.params.maze_size == 2
-    assert loaded.params.maze_seed is None
-    assert loaded.params.start == table2_n4.params.start
-    assert loaded.params.end == table2_n4.params.end
-
-
-def test_load_rejects_truncated(tmp_path, table2_n4):
-    path = tmp_path / "table.bin"
-    save_table(table2_n4, path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-5])
-    with pytest.raises(ValueError):
-        load_table(path)
-
-
 def test_table_dtype_is_smallest_unsigned(maze2, maze3):
     assert build_fitness_table(maze3, (0, 0), (2, 2), 3).values.dtype == np.uint8
     assert build_fitness_table(generate_maze(12, 1), (0, 0), (11, 11), 2
@@ -265,61 +246,155 @@ def test_table_dtype_is_smallest_unsigned(maze2, maze3):
     assert FitnessTable.from_values([1, 2, 3, 4]).values.dtype == np.int32
 
 
-def test_load_keeps_dtype_and_maze_digest(tmp_path, table3_n6):
+# the request table2_n4 was built for, less its length n = 4
+_REQUEST2 = (generate_maze(2, 42), (0, 0), (1, 1))
+_HEADER = 40  # '<4sI32s': magic, format version, key
+
+
+def _saved(tmp_path, maze, start, end, n):
+    table = build_fitness_table(maze, start, end, n)
     path = tmp_path / "table.bin"
-    save_table(table3_n6, path)
-    loaded = load_table(path)
+    save_table(table, path, maze, start, end)
+    return table, path
+
+
+def test_save_load_roundtrip(tmp_path):
+    for m, start, end, n, dtype in (
+        (2, (0, 0), (1, 1), 4, np.uint8),
+        (3, (1, 1), (1, 1), 0, np.uint8),      # n = 0 and start == end
+        (16, (0, 0), (15, 15), 3, np.uint16),
+    ):
+        maze = generate_maze(m, 1)
+        table, path = _saved(tmp_path, maze, start, end, n)
+        assert len(path.read_bytes()) == _HEADER + np.dtype(dtype).itemsize * 4**n
+        loaded = load_table(path, maze, start, end, n)
+        assert loaded.n == table.n == n
+        assert loaded.d_max == table.d_max == fitness_ceiling(m)
+        assert loaded.values.dtype == table.values.dtype == dtype
+        assert np.array_equal(loaded.values, table.values)
+
+
+# a request that differs from (4x4 seed 1, (0, 0) -> (3, 3), n = 2) in one input
+@pytest.mark.parametrize("other", [
+    {"m": 5},
+    {"seed": 2},
+    {"start": (1, 0)},
+    {"end": (3, 2)},
+    {"n": 3},
+], ids=["size", "maze", "start", "end", "n"])
+def test_load_refuses_a_table_built_for_another_request(tmp_path, other):
+    request = {"m": 4, "seed": 1, "start": (0, 0), "end": (3, 3), "n": 2}
+    _, path = _saved(tmp_path, generate_maze(4, 1), (0, 0), (3, 3), 2)
+    request |= other
+    with pytest.raises(ValueError, match="different") as refused:
+        load_table(path, generate_maze(request["m"], request["seed"]),
+                   request["start"], request["end"], request["n"])
+    assert not isinstance(refused.value, TableFormatError)
+
+
+def test_load_rejects_truncated(tmp_path, table2_n4):
+    path = tmp_path / "table.bin"
+    save_table(table2_n4, path, *_REQUEST2)
+    data = path.read_bytes()
+    path.write_bytes(data[:-5])
+    with pytest.raises(TableFormatError):
+        load_table(path, *_REQUEST2, 4)
+
+
+@pytest.mark.parametrize("m,cut", [(2, -1), (2, 1), (16, -1), (16, 1)])
+def test_load_rejects_a_body_one_byte_off(tmp_path, m, cut):
+    maze = generate_maze(m, 1)
+    _, path = _saved(tmp_path, maze, (0, 0), (1, 1), 2)
+    data = path.read_bytes()
+    path.write_bytes(data[:cut] if cut < 0 else data + b"\0" * cut)
+    with pytest.raises(TableFormatError, match="value bytes"):
+        load_table(path, maze, (0, 0), (1, 1), 2)
+
+
+def test_load_keeps_dtype_and_maze_digest(tmp_path, maze3, table3_n6):
+    path = tmp_path / "table.bin"
+    save_table(table3_n6, path, maze3, (0, 0), (2, 2))
+    assert len(path.read_bytes()) == _HEADER + 4**6  # one uint8 per value
+    loaded = load_table(path, maze3, (0, 0), (2, 2), 6)
     assert loaded.values.dtype == table3_n6.values.dtype
-    assert loaded.params.maze_digest == table3_n6.params.maze_digest
-    assert len(path.read_bytes()) == 68 + 4**6  # one uint8 per value
+    # the key digests the door masks: the same size, seed and flags with
+    # the door between (0, 0) and (0, 1) toggled is another maze
+    rooms = [list(row) for row in maze3.rooms]
+    rooms[0][0] ^= 0b0010  # E
+    rooms[0][1] ^= 0b1000  # W
+    other = Maze(size=3, seed=maze3.seed, rooms=tuple(map(tuple, rooms)))
+    with pytest.raises(ValueError, match="different"):
+        load_table(path, other, (0, 0), (2, 2), 6)
 
 
-def test_maze_digest_tells_mazes_apart():
-    a = build_fitness_table(generate_maze(4, 1), (0, 0), (3, 3), 2)
-    b = build_fitness_table(generate_maze(4, 2), (0, 0), (3, 3), 2)
-    again = build_fitness_table(generate_maze(4, 1), (0, 0), (3, 3), 2)
-    assert a.params.maze_digest != b.params.maze_digest
-    assert a.params.maze_digest == again.params.maze_digest
+def test_maze_digest_tells_mazes_apart(tmp_path):
+    _, path = _saved(tmp_path, generate_maze(4, 1), (0, 0), (3, 3), 2)
+    assert load_table(path, generate_maze(4, 1), (0, 0), (3, 3), 2).n == 2
+    with pytest.raises(ValueError, match="different"):
+        load_table(path, generate_maze(4, 2), (0, 0), (3, 3), 2)
 
 
-# Header fields of a save_table dump: '<4s8I32s' = magic, version, n, m,
-# start row, start col, end row, end col, d_max, maze digest.
-_FIELD_OFFSET = {"version": 4, "n": 8, "m": 12, "start_row": 16,
-                 "end_col": 28, "d_max": 32}
-
-
-def _patched(tmp_path, table, **fields):
+def _patched(tmp_path, table, magic=None, version=None, cut=None):
     path = tmp_path / "table.bin"
-    save_table(table, path)
+    save_table(table, path, *_REQUEST2)
     data = bytearray(path.read_bytes())
-    for name, value in fields.items():
-        struct.pack_into("<I", data, _FIELD_OFFSET[name], value)
-    path.write_bytes(bytes(data))
+    if magic is not None:
+        data[:4] = magic
+    if version is not None:
+        struct.pack_into("<I", data, 4, version)
+    path.write_bytes(bytes(data[:cut]))
     return path
 
 
 @pytest.mark.parametrize("fields", [
     {"version": 1},               # the <i4 body of format 1 is not read
-    {"n": DEFAULT_N_CAP + 1},     # refused before 4**n is ever formed
-    {"n": 2**32 - 1},
-    {"start_row": 2},             # outside the 2x2 grid
-    {"end_col": 7},
-    {"m": 3},                     # d_max 2 is not the 3x3 ceiling 8
-    {"d_max": 3},
-    {"n": 3},                     # body holds 4**4 values, not 4**3
-    {"version": 3},
+    {"version": 2},               # format 2 held the request field by field
+    {"version": 4},
+    {"version": 0},
+    {"magic": b"XXXX"},
+    {"magic": b"qmft"},
+    {"cut": _HEADER - 1},         # one byte short of a header
+    {"cut": 4},
+    {"cut": 0},
 ])
 def test_load_rejects_bad_header(tmp_path, table2_n4, fields):
     path = _patched(tmp_path, table2_n4, **fields)
     with pytest.raises(TableFormatError):
-        load_table(path)
+        load_table(path, *_REQUEST2, 4)
+
+
+def test_load_refuses_a_format_2_file(tmp_path, table2_n4):
+    # the previous layout: '<4s8I32s' (magic, version 2, n, m, start row and
+    # column, end row and column, d_max, maze digest), then the body
+    maze = _REQUEST2[0]
+    masks = bytes(mask for row in maze.rooms for mask in row)
+    header = struct.pack("<4s8I32s", b"QMFT", 2, 4, 2, 0, 0, 1, 1, 2,
+                         hashlib.sha256(masks).digest())
+    path = tmp_path / "table.bin"
+    path.write_bytes(header + table2_n4.values.astype("<u1").tobytes())
+    with pytest.raises(TableFormatError, match="version 2"):
+        load_table(path, *_REQUEST2, 4)
 
 
 def test_load_rejects_n_above_a_lowered_cap(tmp_path, table2_n4):
     path = _patched(tmp_path, table2_n4)
-    with pytest.raises(TableFormatError):
-        load_table(path, cap=3)
-    assert load_table(path, cap=4).n == 4
+    with pytest.raises(ValueError, match="cap") as refused:
+        load_table(path, *_REQUEST2, 4, cap=3)
+    assert not isinstance(refused.value, TableFormatError)
+    assert load_table(path, *_REQUEST2, 4, cap=4).n == 4
+
+
+@pytest.mark.parametrize("n,start", [
+    (DEFAULT_N_CAP + 1, (0, 0)),
+    (-1, (0, 0)),
+    (4, (0, 2)),                  # outside the 2x2 grid
+    (4, (-1, 0)),
+])
+def test_load_checks_the_request_before_the_file(tmp_path, n, start):
+    # the path does not exist: an OSError would mean the file was opened
+    with pytest.raises(ValueError) as refused:
+        load_table(tmp_path / "missing.bin", _REQUEST2[0], start, (1, 1), n)
+    assert not isinstance(refused.value, TableFormatError)
 
 
 def test_load_rejects_bad_magic_and_short_files(tmp_path, table2_n4):
@@ -327,37 +402,36 @@ def test_load_rejects_bad_magic_and_short_files(tmp_path, table2_n4):
     data = path.read_bytes()
     path.write_bytes(b"XXXX" + data[4:])
     with pytest.raises(TableFormatError):
-        load_table(path)
+        load_table(path, *_REQUEST2, 4)
     path.write_bytes(data[:20])
     with pytest.raises(TableFormatError):
-        load_table(path)
+        load_table(path, *_REQUEST2, 4)
     path.write_bytes(data + b"\0\0\0\0")
     with pytest.raises(TableFormatError):
-        load_table(path)
+        load_table(path, *_REQUEST2, 4)
 
 
-def _assert_value_refused(path, fmt, bad):
+def _assert_value_refused(path, request, fmt, bad):
     data = bytearray(path.read_bytes())
-    struct.pack_into(fmt, data, 68 + struct.calcsize(fmt) * 5, bad)
+    struct.pack_into(fmt, data, _HEADER + struct.calcsize(fmt) * 5, bad)
     path.write_bytes(bytes(data))
-    with pytest.raises(TableFormatError):
-        load_table(path)
+    with pytest.raises(TableFormatError, match="outside"):
+        load_table(path, *request)
 
 
 @pytest.mark.parametrize("bad", [3, 255])
 def test_load_rejects_values_out_of_range(tmp_path, table2_n4, bad):
     # the body is uint8; every value must lie in [0, d_max = 2]
-    _assert_value_refused(_patched(tmp_path, table2_n4), "<B", bad)
+    _assert_value_refused(_patched(tmp_path, table2_n4), (*_REQUEST2, 4), "<B", bad)
 
 
 @pytest.mark.parametrize("bad", [451, 65535])
 def test_load_rejects_uint16_values_out_of_range(tmp_path, bad):
     # a 16x16 table's body is little-endian uint16, d_max = 450
-    table = build_fitness_table(generate_maze(16, 1), (0, 0), (15, 15), 3)
-    path = tmp_path / "table.bin"
-    save_table(table, path)
-    assert len(path.read_bytes()) == 68 + 2 * 4**3
-    loaded = load_table(path)
+    request = (generate_maze(16, 1), (0, 0), (15, 15), 3)
+    table, path = _saved(tmp_path, *request)
+    assert len(path.read_bytes()) == _HEADER + 2 * 4**3
+    loaded = load_table(path, *request)
     assert loaded.values.dtype == np.uint16
     assert np.array_equal(loaded.values, table.values)
-    _assert_value_refused(path, "<H", bad)
+    _assert_value_refused(path, request, "<H", bad)
