@@ -19,8 +19,8 @@ from .maze import (Maze, MazeFormatError, RoomCoord, deserialize,
 from .paths import (DEFAULT_N_CAP, format_path, index_to_path, parse_path,
                     path_length, path_to_index)
 from .search import (KNOWN_COUNT, UNKNOWN_COUNT, IterationRecord,
-                     SearchConfig, SearchResult, choose_iterations,
-                     measure_amplified, search_table)
+                     SearchConfig, SearchResult, measure_amplified,
+                     round_iterations, search_table)
 from .verify import (BenchReport, BfsResult, TrialRecord,
                      bfs_consistency_check, bfs_shortest_path,
                      exhaustive_max, run_benchmark)
@@ -37,7 +37,7 @@ __all__ = [
     "WalkResult", "FitnessTable", "TableFormatError", "walk",
     "fitness_ceiling", "build_fitness_table", "save_table", "load_table",
     "KNOWN_COUNT", "UNKNOWN_COUNT", "SearchConfig", "IterationRecord",
-    "SearchResult", "choose_iterations", "measure_amplified", "search_table",
+    "SearchResult", "round_iterations", "measure_amplified", "search_table",
     "BfsResult", "TrialRecord", "BenchReport", "bfs_shortest_path",
     "exhaustive_max", "bfs_consistency_check", "run_benchmark",
     "__version__",

@@ -57,6 +57,18 @@ def _endpoints(args, maze: Maze):
     return start, end
 
 
+def _length(args, start, end) -> int:
+    if args.length is not None:
+        return args.length
+    n = path_length(start, end)
+    if n > args.cap:
+        raise ValueError(
+            f"the default length, twice the Manhattan distance from {start}"
+            f" to {end}, is {n} and exceeds the cap {args.cap}; pass"
+            f" --length N with N <= {args.cap}")
+    return n
+
+
 def _search_config(args) -> SearchConfig:
     return SearchConfig(
         max_rounds=args.rounds,
@@ -93,7 +105,7 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     maze = _load_maze(args)
     start, end = _endpoints(args, maze)
-    n = args.length if args.length is not None else path_length(start, end)
+    n = _length(args, start, end)
     table = _solve_table(args, maze, start, end, n)
     config = _search_config(args)
     result = search_table(table, config)
@@ -121,7 +133,7 @@ def cmd_solve(args) -> int:
               f" start {start} -> end {end} | n={n} ({4 ** n} paths)")
         print(f"best fitness: {result.best_fitness} / {table.d_max}"
               + (" [optimal certificate]" if result.optimal else ""))
-        print(f"best path: {format_path(best_steps)} -> final room"
+        print(f"best path: {format_path(best_steps) or '-'} -> final room"
               f" {tuple(replay.final_room)}, reached end: {replay.reached_end}")
         print(f"rounds: {result.rounds_used} ({accepted} accepted) |"
               f" oracle calls: {result.oracle_calls_total} | mode: {args.mode}")
@@ -135,7 +147,7 @@ def cmd_verify(args) -> int:
         print(f"[FAIL] maze file invalid: {exc}")
         return EXIT_CHECK_FAILED
     start, end = _endpoints(args, maze)
-    n = args.length if args.length is not None else path_length(start, end)
+    n = _length(args, start, end)
 
     failures = 0
     perfect = validate_perfect(maze)
@@ -173,7 +185,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     maze = _load_maze(args)
     start, end = _endpoints(args, maze)
-    n = args.length if args.length is not None else path_length(start, end)
+    n = _length(args, start, end)
     report = run_benchmark(maze, start, end, n, _search_config(args),
                            args.trials, cap=args.cap)
     if args.format == "json":

@@ -17,18 +17,21 @@ set certifies the cutoff is the global maximum. The certificate uses the
 simulator's access to the full table, so it can be switched off to model a
 setting where only oracle queries are available.
 
-Two policies pick the per-round iteration count:
+`round_iterations` holds the whole per-round choice of the iteration
+count r, under one of two policies:
 
 * ``known_count`` reads the exact marked count l from the table (again a
   simulator privilege) and uses floor(pi / (4t)) with sin(t)**2 = l/N, the
   fewest calls that bring (2r+1)t nearest to pi/2; it never exceeds
   pi/4 * sqrt(N). It is 0 once l/N >= 1/2: the unamplified state already
   succeeds with probability l/N, and one call could drop that to
-  sin^2(3t), which is 0 at l/N = 3/4.
-* ``unknown_count`` needs no count: the iteration count is drawn uniformly
-  from a window that grows by a factor of 6/5 after every failed round
-  (the classic schedule for amplifying an unknown number of solutions),
-  clamped to sqrt(N), and reset once a round is accepted.
+  sin^2(3t), which is 0 at l/N = 3/4. It is also 0 when l = 0, which only
+  the certificate-free search reaches: there is nothing to amplify.
+* ``unknown_count`` needs no count: r is drawn uniformly from a window
+  (the classic schedule for amplifying an unknown number of solutions).
+  The loop keeps the window for both policies: it grows by a factor of
+  6/5 after every failed round, clamped to sqrt(N), and is reset to 1 once
+  a round is accepted. known_count never reads it.
 """
 
 import dataclasses
@@ -62,12 +65,7 @@ class SearchConfig:
             raise ValueError("rng_seed must be non-negative")
 
     def as_dict(self) -> dict:
-        return {
-            "max_rounds": self.max_rounds,
-            "mode": self.mode,
-            "rng_seed": self.rng_seed,
-            "certificate_exit": self.certificate_exit,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass
@@ -104,40 +102,30 @@ class SearchResult:
         return tuple(rec.measured_fitness for rec in self.history if rec.accepted)
 
     def as_dict(self) -> dict:
-        return {
-            "best_index": self.best_index,
-            "best_fitness": self.best_fitness,
-            "initial_index": self.initial_index,
-            "initial_cutoff": self.initial_cutoff,
-            "oracle_calls_total": self.oracle_calls_total,
-            "optimal": self.optimal,
-            "rounds": [rec.as_dict() for rec in self.history],
-        }
+        doc = dataclasses.asdict(self)
+        doc["rounds"] = list(doc.pop("history"))
+        return doc
 
 
-def _sample_cutoff(table: FitnessTable, rng: np.random.Generator) -> tuple[int, int]:
-    idx = int(rng.integers(table.values.shape[0]))
-    return idx, int(table.values[idx])
+def round_iterations(l: int, num_states: int, mode: str, window: float = 1.0,
+                     rng: np.random.Generator | None = None) -> int:
+    """Grover iteration count for a round with l of num_states marked.
 
-
-def choose_iterations(num_states: int, marked: int | None, mode: str,
-                      rng: np.random.Generator | None = None,
-                      schedule_bound: float = 1.0) -> int:
-    """Per-round Grover iteration count.
-
-    known_count uses floor(pi / (4 * asin(sqrt(l/N))));
-    unknown_count draws uniformly from [0, schedule_bound).
+    known_count uses floor(pi / (4 * asin(sqrt(l/N)))), and 0 when l = 0
+    (nothing to amplify); unknown_count draws uniformly from
+    [0, max(1, ceil(window))) and never reads l.
     """
+    if not 0 <= l <= num_states:
+        raise ValueError(f"marked count {l} outside [0, {num_states}]")
     if mode == KNOWN_COUNT:
-        if marked is None or not 1 <= marked <= num_states:
-            raise ValueError("known_count mode needs 1 <= marked <= num_states")
-        theta = math.asin(math.sqrt(marked / num_states))
+        if l == 0:
+            return 0
+        theta = math.asin(math.sqrt(l / num_states))
         return math.floor(math.pi / (4 * theta))
     if mode == UNKNOWN_COUNT:
         if rng is None:
             raise ValueError("unknown_count mode needs an rng")
-        hi = max(1, math.ceil(schedule_bound))
-        return int(rng.integers(hi))
+        return int(rng.integers(max(1, math.ceil(window))))
     raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
@@ -180,13 +168,12 @@ def search_table(table: FitnessTable, config: SearchConfig | None = None) -> Sea
     rounds = (config.max_rounds if config.max_rounds is not None
               else max(1, table.d_max.bit_length()))
 
-    init_idx, init_fit = _sample_cutoff(table, rng)
-    cutoff = init_fit
-    best_idx, best_fit = init_idx, init_fit
+    init_idx = int(rng.integers(num_states))
+    init_fit = cutoff = int(values[init_idx])
+    best_idx = init_idx
     history: list[IterationRecord] = []
-    calls = 0
     optimal = False
-    bound = 1.0  # unknown_count window; grows on failure, resets on acceptance
+    window = 1.0  # unknown_count's; grows 6/5 per failed round up to sqrt(N)
     sqrt_n = math.sqrt(num_states)
 
     for rnd in range(rounds):
@@ -195,26 +182,17 @@ def search_table(table: FitnessTable, config: SearchConfig | None = None) -> Sea
         if l == 0 and config.certificate_exit:
             optimal = True
             break
-        if config.mode == KNOWN_COUNT:
-            # l == 0 can only happen with the certificate disabled; nothing
-            # to amplify, so just measure the uniform state.
-            r = 0 if l == 0 else choose_iterations(num_states, l, KNOWN_COUNT, rng)
-        else:
-            r = choose_iterations(num_states, None, UNKNOWN_COUNT, rng,
-                                  schedule_bound=bound)
+        r = round_iterations(l, num_states, config.mode, window, rng)
         idx, p = measure_amplified(marked, l, r, rng)
         fit = int(values[idx])
-        calls += r
         accepted = fit > cutoff
         history.append(IterationRecord(rnd, cutoff, l, r, idx, fit, accepted, p))
         if accepted:
-            cutoff = fit
-            best_idx, best_fit = idx, fit
-            bound = 1.0
-        elif config.mode == UNKNOWN_COUNT:
-            bound = min(bound * 6.0 / 5.0, sqrt_n)
+            cutoff, best_idx = fit, idx
+        window = 1.0 if accepted else min(window * 6 / 5, sqrt_n)
 
-    return SearchResult(best_index=best_idx, best_fitness=best_fit,
+    return SearchResult(best_index=best_idx, best_fitness=cutoff,
                         initial_index=init_idx, initial_cutoff=init_fit,
-                        history=tuple(history), oracle_calls_total=calls,
+                        history=tuple(history),
+                        oracle_calls_total=sum(rec.grover_r for rec in history),
                         optimal=optimal)

@@ -95,7 +95,7 @@ class TrialRecord:
     accepted_cutoffs: tuple[int, ...]
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self) | {"accepted_cutoffs": list(self.accepted_cutoffs)}
+        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass
@@ -111,17 +111,7 @@ class BenchReport:
     records: tuple[TrialRecord, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "n": self.n,
-            "num_states": self.num_states,
-            "best_possible": self.best_possible,
-            "success_rate": self.success_rate,
-            "mean_rounds": self.mean_rounds,
-            "mean_oracle_calls": self.mean_oracle_calls,
-            "sqrt_cost_factor": self.sqrt_cost_factor,
-            "records": [rec.as_dict() for rec in self.records],
-        }
+        return dataclasses.asdict(self)
 
 
 def run_benchmark(maze: Maze, start, end, n: int, config: SearchConfig,

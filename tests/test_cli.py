@@ -97,10 +97,24 @@ def test_solve_deterministic(capsys):
     assert first == second
 
 
-def test_solve_over_cap_refused(capsys):
-    code, _, err = run(capsys, "solve", "--size", "5", "--seed", "1")
+@pytest.mark.parametrize("command", ["solve", "verify", "bench"])
+def test_solve_over_cap_refused(capsys, command):
+    code, out, err = run(capsys, command, "--size", "5", "--seed", "1")
     assert code == 1  # default n = 16 > cap 14
     assert "cap" in err
+    assert "--length N with N <= 14" in err  # not "raise the cap"
+    assert out == ""  # refused before any check or search ran
+
+
+def test_solve_prints_an_empty_path_as_a_dash(capsys):
+    argv = ("solve", "--size", "5", "--seed", "2", "--start", "0,0",
+            "--end", "0,1", "--length", "0")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "best path: - -> final room (0, 0), reached end: False" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["best_path"] == ""
 
 
 def test_solve_missing_file_is_io_error(capsys):

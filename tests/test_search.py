@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from qmaze import (KNOWN_COUNT, UNKNOWN_COUNT, FitnessTable, SearchConfig,
-                   build_fitness_table, choose_iterations, exhaustive_max,
+                   build_fitness_table, exhaustive_max, round_iterations,
                    search_table)
 
 from dense_reference import (OracleSpec, grover_iterate, marked_probability,
@@ -15,21 +15,21 @@ from oracles import grover_success_probability
 
 def test_known_count_small():
     rng = np.random.default_rng(0)
-    assert choose_iterations(4, 1, KNOWN_COUNT, rng) == 1
+    assert round_iterations(1, 4, KNOWN_COUNT, rng=rng) == 1
 
 
 def test_known_count_n8_single_marked():
-    assert choose_iterations(65536, 1, KNOWN_COUNT) == 201
+    assert round_iterations(1, 65536, KNOWN_COUNT) == 201
 
 
 def test_known_count_everything_marked_needs_no_iteration():
     # r = 0 and r = 1 both measure a marked state with probability 1
-    assert choose_iterations(64, 64, KNOWN_COUNT) == 0
+    assert round_iterations(64, 64, KNOWN_COUNT) == 0
 
 
 def test_known_count_three_quarters_marked_needs_no_iteration():
     # sin^2(3t) = 0 at l/N = 3/4, while r = 0 keeps probability 3/4
-    assert choose_iterations(64, 48, KNOWN_COUNT) == 0
+    assert round_iterations(48, 64, KNOWN_COUNT) == 0
 
 
 def test_known_count_three_quarters_marked_search_reaches_maximum():
@@ -57,37 +57,40 @@ def test_known_count_stays_within_quarter_pi_sqrt_n():
         num = 4**n
         for l in sorted({1, 2, 3, num // 3, num}):
             if 1 <= l <= num:
-                assert choose_iterations(num, l, KNOWN_COUNT) <= math.pi / 4 * 2**n
+                assert round_iterations(l, num, KNOWN_COUNT) <= math.pi / 4 * 2**n
 
 
 def test_known_count_rejects_bad_marked():
-    with pytest.raises(ValueError):
-        choose_iterations(16, 0, KNOWN_COUNT)
-    with pytest.raises(ValueError):
-        choose_iterations(16, 17, KNOWN_COUNT)
-    with pytest.raises(ValueError):
-        choose_iterations(16, None, KNOWN_COUNT)
+    # l = 0 is no error: only the certificate-free search reaches it, and
+    # with nothing to amplify it measures the uniform state
+    assert round_iterations(0, 16, KNOWN_COUNT) == 0
+    for mode in (KNOWN_COUNT, UNKNOWN_COUNT):
+        for l in (-1, 17):
+            with pytest.raises(ValueError, match="outside"):
+                round_iterations(l, 16, mode, rng=np.random.default_rng(0))
 
 
 def test_unknown_count_window():
     rng = np.random.default_rng(1)
     assert all(
-        choose_iterations(256, None, UNKNOWN_COUNT, rng, schedule_bound=1.0) == 0
+        round_iterations(3, 256, UNKNOWN_COUNT, window=1.0, rng=rng) == 0
         for _ in range(20)
     )
-    draws = {choose_iterations(256, None, UNKNOWN_COUNT, rng, schedule_bound=4.3)
+    draws = {round_iterations(3, 256, UNKNOWN_COUNT, window=4.3, rng=rng)
              for _ in range(300)}
     assert draws == {0, 1, 2, 3, 4}
 
 
-def test_unknown_count_window_clamps_at_sqrt_n():
+@pytest.mark.parametrize("max_rounds", [100, 5000])
+def test_unknown_count_window_clamps_at_sqrt_n(max_rounds):
     # nothing is ever marked, so every round fails and the window grows
-    # until the clamp at sqrt(16) = 4 holds it
+    # until the clamp at sqrt(16) = 4 holds it; 5000 rounds is past the
+    # point where (6/5)**failures overflows a float
     table = FitnessTable.from_values(np.full(16, 5, dtype=np.int32))
-    cfg = SearchConfig(mode=UNKNOWN_COUNT, rng_seed=0, max_rounds=100,
+    cfg = SearchConfig(mode=UNKNOWN_COUNT, rng_seed=0, max_rounds=max_rounds,
                        certificate_exit=False)
     res = search_table(table, cfg)
-    assert res.rounds_used == 100
+    assert res.rounds_used == max_rounds
     assert max(rec.grover_r for rec in res.history) == 3
 
 
@@ -107,12 +110,12 @@ def test_unknown_count_window_resets_on_acceptance():
 
 def test_unknown_count_needs_rng():
     with pytest.raises(ValueError):
-        choose_iterations(16, None, UNKNOWN_COUNT)
+        round_iterations(1, 16, UNKNOWN_COUNT)
 
 
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
-        choose_iterations(16, 1, "guess")
+        round_iterations(1, 16, "guess")
 
 
 def test_config_validation():
@@ -185,7 +188,7 @@ def test_round_success_probability_matches_closed_form(table3_n6):
     for cutoff in (0, 2, 5, 7):
         l = int(np.count_nonzero(table3_n6.values > cutoff))
         assert l > 0
-        r = choose_iterations(num, l, KNOWN_COUNT)
+        r = round_iterations(l, num, KNOWN_COUNT)
         oracle = OracleSpec(table3_n6, cutoff)
         state = grover_iterate(uniform_superposition(6), oracle, r)
         expected = grover_success_probability(num, l, r)
